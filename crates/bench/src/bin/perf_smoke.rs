@@ -16,101 +16,18 @@
 //! binary asserts this — so the wall-clock ratio is a pure throughput
 //! number. See the crate docs for the JSON schema.
 //!
-//! The binary also runs a second, targeted A/B — block-grant serving on
-//! vs off (`use_block`) inside the macro-step engine, on the dense
-//! out-of-order cells at a fixed N=20000 — and reports the per-cell
-//! ratio plus the served-block-length histogram, so an engagement or
-//! throughput miss is diagnosable from the artifact alone.
-//!
 //! Usage: `perf_smoke` (honors `BALLERINO_N` / `BALLERINO_SEED` /
 //! `BALLERINO_THREADS`, plus `BALLERINO_MEM_NAIVE` to pin both sides to
-//! the seed-exact memory lookup path for fast-path A/Bs,
-//! `BALLERINO_NO_MACRO` to disable the macro-step engine on the new
-//! side and `BALLERINO_NO_BLOCK` to disable block-grant serving inside
-//! it; `BALLERINO_REPS` overrides the repetition count, default 3 —
-//! the JSON reports the median wall per side plus the min/max spread).
+//! the seed-exact memory lookup path for fast-path A/Bs;
+//! `BALLERINO_REPS` overrides the repetition count, default 3 — the JSON
+//! reports the median wall per side plus the min/max spread).
 //! Exits non-zero on any cycle mismatch.
 
 use ballerino_bench::{run_matrix, run_matrix_legacy, seed, suite_len, threads, Provenance};
-use ballerino_isa::TraceDag;
-use ballerino_sim::{build_scheduler, run_machine_reference, Core, MachineKind, SimResult, Width};
-use ballerino_workloads::{cached_workload, workload_names};
+use ballerino_sim::{run_machine_reference, MachineKind, SimResult, Width};
+use ballerino_workloads::workload_names;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-/// Dense cells for the block-grant A/B: compute-bound workloads where
-/// the macro-step engine fuses most cycles, on the flagship wake-fabric
-/// machine.
-const BLOCK_AB_WORKLOADS: [&str; 4] = ["gemm_blocked", "int_crunch", "mixed_media", "compress_lz"];
-const BLOCK_AB_KIND: MachineKind = MachineKind::OutOfOrder;
-const BLOCK_AB_N: usize = 20_000;
-
-/// One dense cell of the block-grant A/B.
-struct BlockAbCell {
-    workload: &'static str,
-    off_wall_s: f64,
-    on_wall_s: f64,
-    ratio: f64,
-    block_cycles_pct: f64,
-    block_len_hist: [u64; 8],
-    mismatch: bool,
-}
-
-/// Runs one side of the block A/B (macro engine always on; only
-/// `use_block` differs).
-fn run_block_side(wl: &str, use_block: bool) -> SimResult {
-    let trace = cached_workload(wl, BLOCK_AB_N, seed());
-    let dag = TraceDag::resolve(&trace);
-    let (mut cfg, sched, sizes) = build_scheduler(BLOCK_AB_KIND, Width::Eight);
-    cfg.use_block = use_block;
-    Core::new(cfg, sched, sizes).run_with_dag(&trace, Some(&dag))
-}
-
-/// Debug rendering with the fields that legitimately differ zeroed.
-fn normalized(r: &SimResult) -> String {
-    let mut z = r.clone();
-    z.host_wall_s = 0.0;
-    z.cycles_skipped = 0;
-    z.cycles_macro = 0;
-    z.cycles_block = 0;
-    z.blocks_built = 0;
-    z.blocks_invalidated = 0;
-    z.block_len_hist = [0; 8];
-    format!("{z:?}")
-}
-
-/// Runs the dense-cell block-grant A/B and returns one row per cell.
-fn run_block_ab(reps: usize) -> Vec<BlockAbCell> {
-    BLOCK_AB_WORKLOADS
-        .iter()
-        .map(|&wl| {
-            let mut off_walls = Vec::with_capacity(reps);
-            let mut on_walls = Vec::with_capacity(reps);
-            let mut last_off = None;
-            let mut last_on = None;
-            for _ in 0..reps {
-                let r = run_block_side(wl, false);
-                off_walls.push(r.host_wall_s);
-                last_off = Some(r);
-                let r = run_block_side(wl, true);
-                on_walls.push(r.host_wall_s);
-                last_on = Some(r);
-            }
-            let (off, on) = (last_off.expect("reps >= 1"), last_on.expect("reps >= 1"));
-            let off_wall_s = median(&mut off_walls);
-            let on_wall_s = median(&mut on_walls);
-            BlockAbCell {
-                workload: wl,
-                off_wall_s,
-                on_wall_s,
-                ratio: off_wall_s / on_wall_s,
-                block_cycles_pct: 100.0 * on.cycles_block as f64 / on.cycles_macro.max(1) as f64,
-                block_len_hist: on.block_len_hist,
-                mismatch: normalized(&off) != normalized(&on),
-            }
-        })
-        .collect()
-}
 
 /// Median of a small wall-clock sample (sorts in place).
 fn median(xs: &mut [f64]) -> f64 {
@@ -123,21 +40,19 @@ fn main() {
     let width = Width::Eight;
     let names = workload_names();
     let mem_naive = ballerino_isa::env_flag("BALLERINO_MEM_NAIVE");
-    let no_macro = ballerino_isa::env_flag("BALLERINO_NO_MACRO");
     let reps: usize = std::env::var("BALLERINO_REPS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&r| r >= 1)
         .unwrap_or(3);
     println!(
-        "perf_smoke: {} kinds x {} workloads, N={}, seed={}, threads={}, mem={}, macro={}, reps={reps}",
+        "perf_smoke: {} kinds x {} workloads, N={}, seed={}, threads={}, mem={}, reps={reps}",
         kinds.len(),
         names.len(),
         suite_len(),
         seed(),
         threads(),
         if mem_naive { "naive" } else { "fast" },
-        if no_macro { "off" } else { "on" },
     );
 
     println!("running baseline (legacy runner x reference pipeline)...");
@@ -206,33 +121,6 @@ fn main() {
         );
     }
 
-    // Block-grant A/B: same pipeline, macro engine on both sides, only
-    // `use_block` differs. Cells must stay byte-identical; the ratio and
-    // served-length histogram diagnose what block serving buys (or
-    // doesn't — a streaming front-end bounds block length at the next
-    // dispatch acceptance, see ARCHITECTURE.md).
-    println!(
-        "running block-grant A/B (dense cells, {} x N={BLOCK_AB_N})...",
-        BLOCK_AB_KIND.label()
-    );
-    let block_ab = run_block_ab(reps);
-    let mut block_ratios: Vec<f64> = block_ab.iter().map(|c| c.ratio).collect();
-    let block_ab_median = median(&mut block_ratios);
-    for c in &block_ab {
-        println!(
-            "  {:<14} off {:>7.2}ms on {:>7.2}ms -> {:>5.2}x  ({:.1}% block-served, hist {:?}){}",
-            c.workload,
-            c.off_wall_s * 1e3,
-            c.on_wall_s * 1e3,
-            c.ratio,
-            c.block_cycles_pct,
-            c.block_len_hist,
-            if c.mismatch { "  MISMATCH" } else { "" },
-        );
-        mismatches += usize::from(c.mismatch);
-    }
-    println!("block A/B median ratio: {block_ab_median:.3}x");
-
     let json = render_json(
         &kinds,
         &names,
@@ -242,8 +130,6 @@ fn main() {
         &new_walls,
         speedup,
         mismatches,
-        &block_ab,
-        block_ab_median,
     );
     let path = "BENCH_simthroughput.json";
     Provenance::capture().warn_if_dirty(path);
@@ -266,8 +152,6 @@ fn render_json(
     new_walls: &[f64],
     speedup: f64,
     mismatches: usize,
-    block_ab: &[BlockAbCell],
-    block_ab_median: f64,
 ) -> String {
     // Both slices arrive sorted (the median computation sorts in place).
     let (base_wall, new_wall) = (
@@ -275,7 +159,6 @@ fn render_json(
         new_walls[new_walls.len() / 2],
     );
     let total_skipped: u64 = new.iter().flatten().map(|r| r.cycles_skipped).sum();
-    let total_macro: u64 = new.iter().flatten().map(|r| r.cycles_macro).sum();
     let total_cycles: u64 = new.iter().flatten().map(|r| r.cycles).sum();
     let mut s = String::new();
     s.push_str("{\n");
@@ -289,32 +172,8 @@ fn render_json(
         "  \"mem_naive\": {},",
         ballerino_isa::env_flag("BALLERINO_MEM_NAIVE")
     );
-    let _ = writeln!(
-        s,
-        "  \"use_macro\": {},",
-        !ballerino_isa::env_flag("BALLERINO_NO_MACRO")
-    );
-    let _ = writeln!(
-        s,
-        "  \"use_block\": {},",
-        !ballerino_isa::env_flag("BALLERINO_NO_BLOCK")
-    );
     let _ = writeln!(s, "  \"reps\": {},", base_walls.len());
     let _ = writeln!(s, "  \"cycles_skipped\": {total_skipped},");
-    let _ = writeln!(s, "  \"cycles_macro\": {total_macro},");
-    let total_block: u64 = new.iter().flatten().map(|r| r.cycles_block).sum();
-    let total_built: u64 = new.iter().flatten().map(|r| r.blocks_built).sum();
-    let total_inval: u64 = new.iter().flatten().map(|r| r.blocks_invalidated).sum();
-    let mut total_hist = [0u64; 8];
-    for r in new.iter().flatten() {
-        for (t, h) in total_hist.iter_mut().zip(r.block_len_hist) {
-            *t += h;
-        }
-    }
-    let _ = writeln!(s, "  \"cycles_block\": {total_block},");
-    let _ = writeln!(s, "  \"blocks_built\": {total_built},");
-    let _ = writeln!(s, "  \"blocks_invalidated\": {total_inval},");
-    let _ = writeln!(s, "  \"block_len_hist\": {total_hist:?},");
     let _ = writeln!(s, "  \"total_cycles\": {total_cycles},");
     let _ = writeln!(s, "  \"baseline_wall_s\": {base_wall:.6},");
     let _ = writeln!(s, "  \"baseline_wall_min_s\": {:.6},", base_walls[0]);
@@ -332,27 +191,6 @@ fn render_json(
     );
     let _ = writeln!(s, "  \"speedup\": {speedup:.4},");
     let _ = writeln!(s, "  \"cycle_mismatches\": {mismatches},");
-    s.push_str("  \"block_ab\": {\n");
-    let _ = writeln!(s, "    \"kind\": \"{}\",", BLOCK_AB_KIND.label());
-    let _ = writeln!(s, "    \"n\": {BLOCK_AB_N},");
-    let _ = writeln!(s, "    \"median_ratio\": {block_ab_median:.4},");
-    s.push_str("    \"cells\": [\n");
-    for (i, c) in block_ab.iter().enumerate() {
-        let _ = write!(
-            s,
-            "      {{\"workload\": \"{}\", \"off_wall_s\": {:.6}, \"on_wall_s\": {:.6}, \
-             \"ratio\": {:.4}, \"block_cycles_pct\": {:.2}, \"block_len_hist\": {:?}}}{}",
-            c.workload,
-            c.off_wall_s,
-            c.on_wall_s,
-            c.ratio,
-            c.block_cycles_pct,
-            c.block_len_hist,
-            if i + 1 == block_ab.len() { "\n" } else { ",\n" }
-        );
-    }
-    s.push_str("    ]\n");
-    s.push_str("  },\n");
     s.push_str("  \"cells\": [\n");
     let mut first = true;
     for (ki, kind) in kinds.iter().enumerate() {
@@ -366,8 +204,7 @@ fn render_json(
             let _ = write!(
                 s,
                 "    {{\"kind\": \"{}\", \"workload\": \"{}\", \"cycles\": {}, \
-                 \"committed\": {}, \"cycles_skipped\": {}, \"cycles_macro\": {}, \
-                 \"cycles_block\": {}, \"host_wall_s\": {:.6}, \
+                 \"committed\": {}, \"cycles_skipped\": {}, \"host_wall_s\": {:.6}, \
                  \"baseline_host_wall_s\": {:.6}, \"sim_uops_per_sec\": {:.1}, \
                  \"sim_cycles_per_sec\": {:.1}}}",
                 kind.label(),
@@ -375,8 +212,6 @@ fn render_json(
                 r.cycles,
                 r.committed,
                 r.cycles_skipped,
-                r.cycles_macro,
-                r.cycles_block,
                 r.host_wall_s,
                 b.host_wall_s,
                 r.sim_uops_per_sec(),

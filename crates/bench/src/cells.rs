@@ -26,7 +26,7 @@
 //! crate's tests pin.
 
 use ballerino_sim::{run_point, DesignPoint, MachineKind, SimResult, Width};
-use ballerino_workloads::{cached_dag, cached_workload};
+use ballerino_workloads::cached_workload;
 
 /// One row of the machine-kind registry: every per-kind registration
 /// fact the harness tiers need, in one place.
@@ -292,13 +292,11 @@ impl SimCell {
         fnv1a(self.key().as_bytes())
     }
 
-    /// Runs the cell on the cycle-accurate tier: trace and pre-resolved
-    /// DAG from the process-wide cache, simulation via
-    /// [`ballerino_sim::run_point`].
+    /// Runs the cell on the cycle-accurate tier: trace from the
+    /// process-wide cache, simulation via [`ballerino_sim::run_point`].
     pub fn run(&self) -> SimResult {
         let trace = cached_workload(self.workload, self.n, self.seed);
-        let dag = cached_dag(self.workload, self.n, self.seed);
-        run_point(&self.point, &trace, Some(&dag))
+        run_point(&self.point, &trace)
     }
 }
 

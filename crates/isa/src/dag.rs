@@ -6,11 +6,11 @@
 //! pure — it depends only on program order and the μop stream — so a
 //! [`TraceDag`] resolves it **once per trace**: for every trace index it
 //! records the producing trace index of each register source, the consumer
-//! list (CSR layout), the execution latency and functional-unit class, and
-//! whether the μop starts a new instruction-cache line relative to its
-//! predecessor. The macro-step engine uses these to reason about a run of
-//! cycles in one pass without replaying the per-op scans, and harnesses
-//! memoize the resolution through `ballerino_workloads::TraceCache`.
+//! list (CSR layout), and the execution latency and functional-unit class.
+//! The tier-0 estimator (`ballerino-analytic`) and the static trace
+//! features replay it in one pass without re-deriving dependences, and
+//! harnesses memoize the resolution through
+//! `ballerino_workloads::TraceCache`.
 //!
 //! The DAG is keyed by **trace index**, not by dynamic sequence number:
 //! after a pipeline squash the same trace index is re-fetched under a new
@@ -21,9 +21,6 @@ use crate::op::OpClass;
 use crate::ports::FuKind;
 use crate::regs::NUM_ARCH_REGS;
 use crate::trace::Trace;
-
-/// Instruction-cache line size used for `line_cross` flags (bytes).
-pub const ICACHE_LINE_BYTES: u64 = 64;
 
 /// Pre-resolved static facts about one μop in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,11 +35,6 @@ pub struct DagOp {
     pub fu: FuKind,
     /// Execution latency in cycles ([`OpClass::exec_latency`]).
     pub exec_latency: u32,
-    /// Whether this μop's pc falls on a different i-cache line than the
-    /// previous μop in the trace (`true` for the first μop). Only valid
-    /// for sequential fetch — after a redirect the fetch unit must
-    /// re-compare real lines.
-    pub line_cross: bool,
     /// Number of used source slots.
     pub num_srcs: u8,
     /// Whether the μop writes a destination register.
@@ -73,9 +65,6 @@ pub struct TraceDag {
     consumer_start: Vec<u32>,
     /// Concatenated consumer trace indices, ascending within each row.
     consumers: Vec<u32>,
-    /// Prefix sums of load counts: `load_prefix[i]` = loads among ops
-    /// `[0, i)`. Length `ops.len() + 1`.
-    load_prefix: Vec<u32>,
 }
 
 impl TraceDag {
@@ -86,7 +75,6 @@ impl TraceDag {
         let mut ops = Vec::with_capacity(n);
         // Youngest writer of each architectural register, by flat index.
         let mut last_writer = [u32::MAX; NUM_ARCH_REGS as usize];
-        let mut prev_line = u64::MAX;
         // Out-degree per op, counted as edges are discovered.
         let mut degree = vec![0u32; n];
 
@@ -101,17 +89,14 @@ impl TraceDag {
                     }
                 }
             }
-            let line = op.pc / ICACHE_LINE_BYTES;
             ops.push(DagOp {
                 producers,
                 class: op.class,
                 fu: FuKind::for_class(op.class),
                 exec_latency: op.class.exec_latency(),
-                line_cross: line != prev_line,
                 num_srcs: op.num_srcs() as u8,
                 has_dst: op.dst.is_some(),
             });
-            prev_line = line;
             if let Some(d) = op.dst {
                 last_writer[d.flat() as usize] = idx as u32;
             }
@@ -136,19 +121,10 @@ impl TraceDag {
             }
         }
 
-        let mut load_prefix = Vec::with_capacity(n + 1);
-        load_prefix.push(0u32);
-        let mut loads = 0u32;
-        for dop in &ops {
-            loads += (dop.class == OpClass::Load) as u32;
-            load_prefix.push(loads);
-        }
-
         TraceDag {
             ops,
             consumer_start,
             consumers,
-            load_prefix,
         }
     }
 
@@ -186,23 +162,6 @@ impl TraceDag {
     /// Total number of producer→consumer edges.
     pub fn num_edges(&self) -> usize {
         self.consumers.len()
-    }
-
-    /// Number of loads among trace indices `[lo, hi)`, in O(1) via a
-    /// prefix sum. Out-of-range bounds clamp to the trace; an inverted
-    /// range counts as empty. The macro-step engine uses the load
-    /// density of the upcoming fetch window to size grant-block
-    /// horizons (load-dense regions wake off cache timing, so long
-    /// blocks there mostly get invalidated).
-    #[inline]
-    pub fn loads_in(&self, lo: usize, hi: usize) -> u32 {
-        let n = self.ops.len();
-        let lo = lo.min(n);
-        let hi = hi.min(n);
-        if lo >= hi {
-            return 0;
-        }
-        self.load_prefix[hi] - self.load_prefix[lo]
     }
 }
 
@@ -254,15 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn line_cross_marks_line_boundaries() {
-        let dag = TraceDag::resolve(&chain());
-        assert!(dag.op(0).line_cross, "first op always crosses");
-        assert!(!dag.op(1).line_cross);
-        assert!(dag.op(2).line_cross, "0x40 starts a new 64B line");
-        assert!(!dag.op(3).line_cross);
-    }
-
-    #[test]
     fn latency_and_fu_match_class() {
         let mut t = Trace::new("mix");
         t.push(MicroOp::compute(
@@ -298,22 +248,5 @@ mod tests {
         let dag = TraceDag::resolve(&Trace::new("empty"));
         assert!(dag.is_empty());
         assert_eq!(dag.num_edges(), 0);
-        assert_eq!(dag.loads_in(0, 10), 0);
-    }
-
-    #[test]
-    fn loads_in_counts_window_loads() {
-        let mut t = Trace::new("loads");
-        t.push(MicroOp::alu(0x0, ArchReg::int(1), [None, None]));
-        t.push(MicroOp::load(0x4, ArchReg::int(2), None, 0x1000));
-        t.push(MicroOp::load(0x8, ArchReg::int(3), None, 0x1040));
-        t.push(MicroOp::alu(0xc, ArchReg::int(4), [None, None]));
-        let dag = TraceDag::resolve(&t);
-        assert_eq!(dag.loads_in(0, 4), 2);
-        assert_eq!(dag.loads_in(1, 2), 1);
-        assert_eq!(dag.loads_in(3, 4), 0);
-        // Bounds clamp; inverted ranges are empty.
-        assert_eq!(dag.loads_in(2, 100), 1);
-        assert_eq!(dag.loads_in(3, 1), 0);
     }
 }

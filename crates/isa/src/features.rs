@@ -120,8 +120,6 @@ pub struct TraceFeatures {
     /// of CAS). `dram_row_switches / dram_line_transfers` is the trace's
     /// row-buffer locality — ~0 for streaming, ~1 for pointer chasing.
     pub dram_row_switches: u64,
-    /// μops starting a new i-cache line (from the [`TraceDag`]).
-    pub line_crosses: u64,
     /// Estimated branch mispredictions (count of `mispredicted`).
     pub est_mispredicts: u64,
     /// Load μops.
@@ -222,9 +220,6 @@ impl TraceFeatures {
             } else {
                 1
             };
-            if d.line_cross {
-                f.line_crosses += 1;
-            }
 
             if let Some(mem) = op.mem {
                 if op.class == OpClass::Load {

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod trace;
 pub mod trace_io;
 
-pub use dag::{DagOp, TraceDag, ICACHE_LINE_BYTES};
+pub use dag::{DagOp, TraceDag};
 pub use features::{HitLevel, MemGeometry, TraceFeatures, NO_STORE_DEP, NUM_HIT_LEVELS};
 pub use op::{BranchInfo, BranchKind, MemInfo, MicroOp, OpClass};
 pub use ports::{FuKind, PortId, PortMap, MAX_PORTS};
@@ -41,15 +41,8 @@ pub use trace_io::{from_text, to_text, ParseTraceError};
 /// Whether a boolean `BALLERINO_*` environment knob is enabled.
 ///
 /// Set-but-empty counts as *unset*, so CI matrices (and shell one-liners
-/// like `BALLERINO_NO_MACRO= cargo test`) can pass an empty value to mean
+/// like `BALLERINO_NO_SKIP= cargo test`) can pass an empty value to mean
 /// "leave the default"; any non-empty value enables the knob.
 pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty())
-}
-
-/// Reads an environment knob's value. A set-but-empty variable counts
-/// as unset, matching [`env_flag`] (so CI matrices can pass `VAR=` to
-/// mean "default").
-pub fn env_val(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
 }

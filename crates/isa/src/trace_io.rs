@@ -15,7 +15,7 @@
 //! are hex for addresses and decimal otherwise.
 
 use crate::op::{BranchInfo, BranchKind, MemInfo, MicroOp, OpClass};
-use crate::regs::ArchReg;
+use crate::regs::{ArchReg, ARCH_REGS_PER_CLASS};
 use crate::trace::Trace;
 use std::fmt::Write as _;
 use std::str::FromStr;
@@ -52,13 +52,22 @@ fn parse_reg(s: &str) -> Result<Option<ArchReg>, String> {
     if s == "-" {
         return Ok(None);
     }
-    let (class, idx) = s.split_at(1);
-    let n: u16 = idx.parse().map_err(|_| format!("bad register {s:?}"))?;
-    match class {
-        "r" => Ok(Some(ArchReg::int(n))),
-        "f" => Ok(Some(ArchReg::fp(n))),
-        _ => Err(format!("bad register class {s:?}")),
-    }
+    // Split on a char, not a byte offset: the token may start with a
+    // multi-byte character.
+    let (int, idx) = if let Some(idx) = s.strip_prefix('r') {
+        (true, idx)
+    } else if let Some(idx) = s.strip_prefix('f') {
+        (false, idx)
+    } else {
+        return Err(format!("bad register class {s:?}"));
+    };
+    // Range-checked here because `ArchReg::int`/`fp` assert it.
+    let n = idx
+        .parse::<u16>()
+        .ok()
+        .filter(|&n| n < ARCH_REGS_PER_CLASS)
+        .ok_or_else(|| format!("bad register {s:?}"))?;
+    Ok(Some(if int { ArchReg::int(n) } else { ArchReg::fp(n) }))
 }
 
 fn class_to_str(c: OpClass) -> &'static str {
@@ -298,8 +307,19 @@ mod tests {
 
     #[test]
     fn bad_registers_are_errors() {
-        let e = from_text("C 0x400 ialu x9 - -\n").unwrap_err();
-        assert!(e.message.contains("bad register"));
+        // An unknown class, an out-of-range index (`ArchReg::int` would
+        // assert), and a token starting with a multi-byte character (a
+        // byte-offset split would panic) all surface as line errors.
+        for (text, line) in [
+            ("C 0x400 ialu x9 - -\n", 1),
+            ("C 0x0 ialu r1 - -\nC 0x0 ialu r32 - -\n", 2),
+            ("C 0x0 ialu f1 - f99\n", 1),
+            ("C 0x0 ialu r1 - -\nC 0x4 ialu é1 - -\n", 2),
+        ] {
+            let e = from_text(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains("bad register"), "{text:?}: {e}");
+        }
     }
 
     #[test]

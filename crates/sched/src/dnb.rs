@@ -17,7 +17,7 @@ use crate::fabric::{WakeFabric, WakeState};
 use crate::ooo::{OooIq, OooIqConfig};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
-use crate::traits::{BlockHorizon, DispatchOutcome, GrantBlock, ReadyCtx, Scheduler, StallReason};
+use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
 use crate::uop::SchedUop;
 use ballerino_isa::PhysReg;
 use std::collections::VecDeque;
@@ -200,38 +200,6 @@ impl Scheduler for Dnb {
         b.from_inorder += own.from_inorder;
         b.from_siq += own.from_siq;
         b
-    }
-
-    fn macro_grant_block(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        horizon: BlockHorizon,
-    ) -> Option<GrantBlock> {
-        // With both in-order queues empty, `issue` is exactly the inner
-        // OoO IQ's issue (the own-fabric poll and head walks are no-ops
-        // with no residents and charge nothing), so the inner plan is
-        // DNB's plan. Non-empty queues mean in-order head progress the
-        // plan cannot pre-verify — stay on the per-cycle path.
-        if !self.bypass.is_empty() || !self.delay.is_empty() {
-            return None;
-        }
-        self.ooo.macro_grant_block(ctx, ports, horizon)
-    }
-
-    fn block_advance(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        block: &mut GrantBlock,
-        out: &mut Vec<u64>,
-    ) -> bool {
-        // Dispatch may have routed μops into the in-order queues since
-        // the block was built; their heads issue outside the plan, so
-        // the block dies the cycle either queue becomes non-empty.
-        if !self.bypass.is_empty() || !self.delay.is_empty() {
-            return false;
-        }
-        self.ooo.block_advance(ctx, block, out)
     }
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {

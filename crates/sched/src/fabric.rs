@@ -37,11 +37,10 @@
 //! (Ballerino, CASINO, CES) need no handle bookkeeping at all.
 
 use crate::ports::PortAlloc;
-use crate::traits::{BlockHorizon, GrantBlock, ReadyCtx};
+use crate::traits::ReadyCtx;
 use crate::uop::SchedUop;
 use ballerino_isa::{OpClass, PhysReg, PortId, MAX_PORTS};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Readiness of a fabric-resident μop, maintained edge-triggered.
 ///
@@ -68,9 +67,6 @@ struct WakeEntry {
     port: PortId,
     class: OpClass,
     srcs: [Option<PhysReg>; 2],
-    /// Destination register (block planning chains a granted producer's
-    /// completion into its resident consumers' wake cycles).
-    dst: Option<PhysReg>,
     /// Per-source pending marker; `None` once the source completed (or
     /// was ready at insert).
     waiting_on: [Option<PhysReg>; 2],
@@ -122,22 +118,6 @@ impl WakeFabric {
     /// Entries currently issuable (after the last [`WakeFabric::poll`]).
     pub fn ready_len(&self) -> usize {
         self.ready.len()
-    }
-
-    /// Entries parked on an MDP hold (sources done, store not issued).
-    pub fn held_len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Panic-safe readiness lookup: `None` when `seq` is not resident
-    /// (issued, squashed, or never inserted). Block validation uses this
-    /// so a flushed μop fails the check instead of crashing it.
-    pub fn state_of(&self, seq: u64) -> Option<WakeState> {
-        if seq < self.base {
-            return None;
-        }
-        let i = (seq - self.base) as usize;
-        self.slab.get(i).and_then(|s| s.as_ref()).map(|e| e.state)
     }
 
     fn idx(&self, seq: u64) -> usize {
@@ -258,7 +238,6 @@ impl WakeFabric {
             port: uop.port,
             class: uop.class,
             srcs: uop.srcs,
-            dst: uop.dst,
             waiting_on,
             pending,
             mdp,
@@ -485,291 +464,6 @@ impl WakeFabric {
             self.grant_buf.push(seq);
         }
         true
-    }
-
-    /// Grant-identical fast variant of [`WakeFabric::select`] for the
-    /// macro-step path: same grant set, same grant order, same port
-    /// claims — only the search is specialized for the common
-    /// steady-state shapes (empty or singleton ready set; a small ready
-    /// set on pairwise-distinct ports within the width budget). Any
-    /// other shape falls through to the general loop.
-    ///
-    /// Without `oldest_first`, callers must keep entry tags unique
-    /// across residents (the OoO IQ's slot indices are): `select`
-    /// breaks priority ties by scan order, which the sorted fast path
-    /// does not reproduce.
-    pub fn select_fast(&mut self, ports: &mut PortAlloc<'_>, oldest_first: bool) -> bool {
-        match self.ready.len() {
-            0 => {
-                self.grant_buf.clear();
-                false
-            }
-            1 => {
-                self.grant_buf.clear();
-                let seq = self.ready[0];
-                let (port, class) = {
-                    let e = self.entry(seq);
-                    (e.port, e.class)
-                };
-                if ports.remaining() > 0 && ports.try_claim(port, class) {
-                    self.grant_buf.push(seq);
-                }
-                true
-            }
-            n if n <= ports.remaining() => {
-                // With every claimable requester on a distinct port and
-                // the whole set within the width budget, the general
-                // loop grants exactly the claimable requesters, in
-                // global priority order. Build that order directly;
-                // bail to the general loop on a port collision.
-                let mut cands: [(u64, u64); MAX_PORTS] = [(0, 0); MAX_PORTS];
-                let mut seen_ports: u16 = 0;
-                let mut k = 0;
-                for &seq in &self.ready {
-                    let e = {
-                        let i = (seq - self.base) as usize;
-                        self.slab[i].as_ref().expect("ready entry resident")
-                    };
-                    let bit = 1u16 << e.port.index();
-                    if seen_ports & bit != 0 {
-                        return self.select(ports, oldest_first);
-                    }
-                    seen_ports |= bit;
-                    if !ports.can_claim(e.port, e.class) {
-                        continue;
-                    }
-                    let key = if oldest_first { seq } else { e.tag as u64 };
-                    cands[k] = (key, seq);
-                    k += 1;
-                }
-                self.grant_buf.clear();
-                let cands = &mut cands[..k];
-                cands.sort_unstable();
-                for &(_, seq) in cands.iter() {
-                    let (port, class) = {
-                        let e = self.entry(seq);
-                        (e.port, e.class)
-                    };
-                    let claimed = ports.try_claim(port, class);
-                    debug_assert!(claimed);
-                    self.grant_buf.push(seq);
-                }
-                true
-            }
-            _ => self.select(ports, oldest_first),
-        }
-    }
-
-    /// Plans a multi-cycle [`GrantBlock`] over the fabric in one pass:
-    /// closed-form select per future cycle over the simulated ready set,
-    /// chaining block-granted producers' completions into their resident
-    /// consumers' wake cycles (fixed execution latencies from
-    /// [`OpClass::exec_latency`]; loads optimistically at
-    /// `horizon.load_latency`, the L1-hit path — a slower actual
-    /// completion fails the wake validation and invalidates the block,
-    /// never corrupts state).
-    ///
-    /// Declines (`None`) when any entry is parked on an MDP hold
-    /// (store-set release timing is pipeline state the plan cannot see),
-    /// and ends the block early at the first cycle a wake would land in
-    /// the held list. Like [`WakeFabric::select_fast`], tags must be
-    /// unique across residents unless `oldest_first` keys by age.
-    ///
-    /// The plan replicates [`WakeFabric::select`] exactly per simulated
-    /// cycle — per-port best by key, then grants in global priority
-    /// order within the width budget, honouring unpipelined-FU busy
-    /// windows including the plan's own reservations — so consuming the
-    /// block is grant-identical to per-cycle select for as long as each
-    /// cycle's validation (`verify_block_cycle`) passes.
-    pub fn plan_block(
-        &self,
-        ctx: &ReadyCtx<'_>,
-        ports: &PortAlloc<'_>,
-        horizon: BlockHorizon,
-        oldest_first: bool,
-    ) -> Option<GrantBlock> {
-        if !self.held.is_empty() || horizon.cycles < 2 {
-            return None;
-        }
-        let width = ports.remaining();
-        if width == 0 {
-            return None;
-        }
-        let start = ctx.cycle;
-        let max_end = start.saturating_add(horizon.cycles);
-
-        // Simulated ready pool, keyed by select priority.
-        let key_of = |e: &WakeEntry, seq: u64| if oldest_first { seq } else { e.tag as u64 };
-        let mut pool: Vec<(u64, u64, PortId, OpClass)> = Vec::with_capacity(self.ready.len() + 8);
-        for &seq in &self.ready {
-            let e = self.entry(seq);
-            pool.push((key_of(e, seq), seq, e.port, e.class));
-        }
-        // Remaining pending-source count per slab slot.
-        let mut pend: Vec<u8> = self
-            .slab
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |e| e.pending))
-            .collect();
-        // Register-availability events `(cycle, reg)`: already-issued
-        // producers contribute their known completion cycles now;
-        // block-planned grants push theirs as the plan discovers them.
-        let mut events: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        for (ri, list) in self.waiters.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            let rc = ctx.scb.ready_cycle(PhysReg(ri as u32));
-            if rc == u64::MAX {
-                continue; // unissued producer; chained below if planned
-            }
-            if rc <= start {
-                return None; // missed wake edge: state is not settled
-            }
-            if rc < max_end {
-                events.push(Reverse((rc, ri as u32)));
-            }
-        }
-
-        let mut grants: Vec<(u64, u64)> = Vec::new();
-        let mut wakes: Vec<(u64, u64)> = Vec::new();
-        let mut expected_ready: Vec<u32> = Vec::with_capacity(horizon.cycles as usize);
-        let mut fu = ports.fu_busy().clone();
-        let mut end = start;
-
-        'plan: for t in start..max_end {
-            // Writeback edge for cycle t: deliver due register events
-            // (writeback runs before issue, so wakes land before select).
-            while let Some(&Reverse((c, ri))) = events.peek() {
-                if c > t {
-                    break;
-                }
-                events.pop();
-                for &wseq in &self.waiters[ri as usize] {
-                    let wi = (wseq - self.base) as usize;
-                    pend[wi] -= 1;
-                    if pend[wi] == 0 {
-                        let e = self.slab[wi].as_ref().expect("waiter resident");
-                        if e.mdp {
-                            // Would park Held: an unresolved store-set
-                            // event. End the block before this cycle.
-                            break 'plan;
-                        }
-                        wakes.push((t, wseq));
-                        pool.push((key_of(e, wseq), wseq, e.port, e.class));
-                    }
-                }
-            }
-            expected_ready.push(pool.len() as u32);
-            end = t + 1;
-            if pool.is_empty() {
-                continue;
-            }
-            // Closed-form select for cycle t (mirrors `select`): best
-            // requester per port among FU-free candidates, then grants in
-            // global priority order until the width budget runs out.
-            let mut best: [Option<(u64, usize)>; MAX_PORTS] = [None; MAX_PORTS];
-            for (k, &(key, _, port, class)) in pool.iter().enumerate() {
-                if !fu.is_free(port, class, t) {
-                    continue;
-                }
-                let b = &mut best[port.index()];
-                if b.is_none_or(|(bk, _)| key < bk) {
-                    *b = Some((key, k));
-                }
-            }
-            let mut winners: [(u64, usize); MAX_PORTS] = [(0, 0); MAX_PORTS];
-            let mut n = 0;
-            for w in best.iter().flatten() {
-                winners[n] = *w;
-                n += 1;
-            }
-            let winners = &mut winners[..n];
-            winners.sort_unstable();
-            let mut rm: [usize; MAX_PORTS] = [0; MAX_PORTS];
-            let mut nrm = 0;
-            for &(_, k) in winners.iter().take(width) {
-                let (_, seq, port, class) = pool[k];
-                grants.push((t, seq));
-                if let Some(d) = self.entry(seq).dst {
-                    let comp = if class == OpClass::Load {
-                        t + horizon.load_latency
-                    } else {
-                        t + class.exec_latency() as u64
-                    };
-                    let has_waiters = self.waiters.get(d.index()).is_some_and(|l| !l.is_empty());
-                    if comp < max_end && has_waiters {
-                        events.push(Reverse((comp, d.index() as u32)));
-                    }
-                }
-                // The plan's own unpipelined grants gate their FU for
-                // future planned cycles, exactly as `process_issue` will.
-                fu.reserve(port, class, t + class.exec_latency() as u64);
-                rm[nrm] = k;
-                nrm += 1;
-            }
-            let rm = &mut rm[..nrm];
-            rm.sort_unstable_by(|a, b| b.cmp(a));
-            for &k in rm.iter() {
-                pool.swap_remove(k);
-            }
-            // When pool and events run dry, the remaining planned cycles
-            // are a zero-grant tail: the ready set stays empty, which is
-            // exactly what live select would see, so serving them costs
-            // nothing and keeps the block alive until real work arrives
-            // (a dispatch-driven wake then invalidates it, and the dead
-            // block's run length licenses an immediate replan). Ending
-            // the block here instead would force a fresh planning pass
-            // every few cycles in bursty regimes.
-        }
-        if grants.is_empty() {
-            return None; // nothing to serve: not worth a block
-        }
-        Some(GrantBlock {
-            start,
-            end,
-            grants,
-            g_cursor: 0,
-            wakes,
-            w_cursor: 0,
-            expected_ready,
-        })
-    }
-
-    /// Validates one cycle of a planned block against the fabric's actual
-    /// state, advancing the block's wake cursor. Pure with respect to the
-    /// fabric: a `false` return leaves the scheduler untouched, so the
-    /// caller can fall back to the per-cycle path and charge the cycle's
-    /// bookkeeping exactly once.
-    ///
-    /// The check triple is exact, not heuristic: (1) the held list is
-    /// empty, so `poll` is a no-op and no hold release can reorder
-    /// grants; (2) every predicted wake due by `cycle` actually left a
-    /// `Ready` entry (late loads, flushed μops, and missed forwards all
-    /// fail here); (3) the ready population equals the plan's. Removals
-    /// since the block started are exactly the already-served grants, and
-    /// inserts or unpredicted wakes can only grow the ready set, so
-    /// predicted wakes present + equal count ⟹ the actual ready set *is*
-    /// the planned one — same members, same tags, same ports.
-    pub fn verify_block_cycle(&self, block: &mut GrantBlock, cycle: u64) -> bool {
-        if !self.held.is_empty() {
-            return false;
-        }
-        while let Some(&(c, seq)) = block.wakes.get(block.w_cursor) {
-            if c > cycle {
-                break;
-            }
-            if self.state_of(seq) != Some(WakeState::Ready) {
-                return false;
-            }
-            block.w_cursor += 1;
-        }
-        debug_assert!(cycle >= block.start && cycle < block.end);
-        let rel = (cycle - block.start) as usize;
-        match block.expected_ready.get(rel) {
-            Some(&n) => self.ready.len() == n as usize,
-            None => false,
-        }
     }
 
     /// Diagnostic rendering of the entry for `seq` (see
@@ -1047,52 +741,6 @@ mod tests {
             held: &r.held,
         };
         assert_eq!(r.f.min_wake(&ctx), None, "released hold is level-visible");
-    }
-
-    #[test]
-    fn select_fast_matches_select_on_random_shapes() {
-        use ballerino_isa::rng::Rng64;
-        let mut rng = Rng64::new(0xFAB_5E1E);
-        for case in 0..200u64 {
-            let oldest_first = case % 2 == 0;
-            let n = 1 + rng.index(10);
-            let width = 1 + rng.index(8);
-            // Build two identical fabrics entry by entry.
-            let mut a = Rig::new();
-            let mut b = Rig::new();
-            for seq in 0..n as u64 {
-                let u = op(seq, rng.index(8) as u8, [None, None]);
-                let tag = rng.below(64) as u32;
-                let ctx = ReadyCtx {
-                    cycle: 0,
-                    scb: &a.scb,
-                    held: &a.held,
-                };
-                a.f.insert(&u, tag, &ctx);
-                let ctx = ReadyCtx {
-                    cycle: 0,
-                    scb: &b.scb,
-                    held: &b.held,
-                };
-                b.f.insert(&u, tag, &ctx);
-            }
-            let busy = FuBusy::new();
-            let mut pa = PortAlloc::new(8, width, &busy, 0);
-            let mut pb = PortAlloc::new(8, width, &busy, 0);
-            let ra = a.f.select(&mut pa, oldest_first);
-            let rb = b.f.select_fast(&mut pb, oldest_first);
-            // Duplicate tags only tie-break identically under
-            // oldest_first; slot-priority cases keep tags unique in
-            // real use, so only compare when the invariant holds.
-            let mut tags: Vec<u32> = (0..n as u64).map(|s| a.f.tag_of(s)).collect();
-            tags.sort_unstable();
-            tags.dedup();
-            if oldest_first || tags.len() == n {
-                assert_eq!(ra, rb, "case {case}: any_request");
-                assert_eq!(a.f.grants(), b.f.grants(), "case {case}: grants");
-                assert_eq!(pa.remaining(), pb.remaining(), "case {case}: budget");
-            }
-        }
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl<'a> PortAlloc<'a> {
         self.width - self.granted
     }
 
-    /// The unpipelined-FU occupancy tracker this cycle consults (block
-    /// planning seeds its future-cycle FU model from it).
-    pub fn fu_busy(&self) -> &FuBusy {
-        self.fu_busy
-    }
-
     /// Caps the remaining budget at `n` further grants (used by designs
     /// whose back-end issues narrower than the machine, e.g. FXA).
     pub fn cap_remaining(&mut self, n: usize) {

@@ -8,60 +8,18 @@ use crate::slab::SeqSlab;
 use crate::stats::{SimResult, TimingBreakdown, TimingClass};
 use ballerino_energy::{EnergyEvents, StructureSizes};
 use ballerino_frontend::{Btb, RenamedOp, Renamer, Tage};
-use ballerino_isa::{MicroOp, OpClass, Trace, TraceDag};
+use ballerino_isa::{MicroOp, OpClass, Trace};
 use ballerino_mem::lsq::{Forward, MemRange};
 use ballerino_mem::{AccessKind, Hierarchy, LoadQueue, Mdp, MdpConfig, StoreQueue};
 use ballerino_sched::ports::PortArbiter;
 use ballerino_sched::{
-    BlockHorizon, DispatchOutcome, FuBusy, GrantBlock, HeldSet, PortAlloc, ReadyCtx, SchedUop,
-    Scheduler, Scoreboard,
+    DispatchOutcome, FuBusy, HeldSet, PortAlloc, ReadyCtx, SchedUop, Scheduler, Scoreboard,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Store-to-load forwarding latency (cycles after AGU).
 const FORWARD_LATENCY: u64 = 3;
-
-/// Completion-ring span in cycles (power of two). Completions landing
-/// within this many cycles of *now* go into a calendar ring instead of
-/// the binary heap while the macro-step engine is running; anything
-/// further out (long DRAM fills) falls back to the heap. 128 covers
-/// every fixed execution latency and all but the rarest memory fills.
-const RING_SPAN: u64 = 128;
-
-/// Maximum grant-block planning horizon in cycles. Blocks rarely run
-/// this long (a dependence on an unresolved event ends the plan, and
-/// dispatch-driven wakes invalidate live blocks), so the effective
-/// horizon adapts to the achieved block length; this cap bounds planner
-/// work per attempt, halved in load-dense fetch windows where cache
-/// timing invalidates long plans anyway.
-const BLOCK_HORIZON: u64 = 64;
-
-/// Minimum adaptive planning horizon: even in churny regimes a plan
-/// covers at least this many cycles, so one successful block amortizes
-/// its own planning pass.
-const BLOCK_HORIZON_MIN: u64 = 8;
-
-/// Fetch-window ops inspected (via [`TraceDag::loads_in`]) to decide
-/// whether the upcoming region is load-dense for horizon sizing.
-const BLOCK_DENSITY_WINDOW: usize = 256;
-
-/// An invalidated block that served at least this many cycles paid for
-/// its plan: replan immediately instead of climbing the backoff ladder
-/// (dispatch-driven wakes kill blocks every few cycles in bursty code,
-/// and that is the profitable regime, not a failure of the planner).
-const BLOCK_MIN_SERVE: u64 = 2;
-
-/// Planning stays eager while the achieved-block-length EWMA holds at
-/// least this many cycles. Below it the regime is hostile — a streaming
-/// front-end whose dispatch-driven wakes kill every plan within a few
-/// cycles — and measured A/B shows even a few percent of short-block
-/// engagement costs more than it saves, so the engine drops to one
-/// probe plan per maximum backoff period. Regimes that thrive
-/// (dispatch-quiet drains) rarely *record* block ends at all — their
-/// blocks drop unrecorded at macro-loop exit — so their EWMA never
-/// decays and planning stays eager.
-const BLOCK_PROBE_EWMA: u64 = 8;
 
 #[derive(Debug)]
 struct Inflight {
@@ -123,35 +81,6 @@ pub struct Core {
     arbiter: PortArbiter,
     fu_busy: FuBusy,
     events: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Near-future completion calendar used by the macro-step engine:
-    /// `ring[t % RING_SPAN]` holds `(t, seq)` completions due at cycle
-    /// `t`. Only populated while `in_macro`; flushed back into `events`
-    /// when the fused loop exits so the per-cycle path never sees it.
-    ring: Vec<Vec<(u64, u64)>>,
-    /// Total entries across all ring buckets.
-    ring_len: usize,
-    /// Whether `process_issue` may route completions into the ring.
-    in_macro: bool,
-    /// Cycle before which the macro-step engine stays dormant after a
-    /// failed (too-short) engagement. Purely a performance throttle: it
-    /// shifts the `cycles_macro`/`cycles_skipped` split but never any
-    /// simulated statistic.
-    macro_backoff: u64,
-    /// Current dormancy length, doubled on consecutive failed
-    /// engagements and reset by a successful one.
-    macro_backoff_len: u64,
-    /// Cycle before which no new grant block is planned, after a block
-    /// was declined or invalidated. Same exponential ladder as
-    /// `macro_backoff`, and likewise purely a performance throttle.
-    block_backoff: u64,
-    /// Current block-planning dormancy length.
-    block_backoff_len: u64,
-    /// EWMA of recently achieved block lengths in cycles, used to size
-    /// the next plan's horizon (planning far past the point dispatch
-    /// kills the block is wasted planner work).
-    block_len_ewma: u64,
-    /// Scratch buffer for the macro loop's per-cycle writeback batch.
-    wb_buf: Vec<u64>,
     /// Load-taint table indexed by physical-register number: the seq of
     /// the in-flight load whose value (transitively) feeds the register,
     /// or 0 for untainted (seqs start at 1). Dense because every rename
@@ -164,16 +93,6 @@ pub struct Core {
     mispredicts: u64,
     /// Cycles fast-forwarded by the event-horizon engine.
     cycles_skipped: u64,
-    /// Cycles executed inside the macro-step engine's fused loop.
-    cycles_macro: u64,
-    /// Cycles whose issue stage was served from a grant block (a subset
-    /// of `cycles_macro`).
-    cycles_block: u64,
-    /// Grant blocks built / died to validation failure.
-    blocks_built: u64,
-    blocks_invalidated: u64,
-    /// Built-block lengths, power-of-two buckets (last bucket open).
-    block_len_hist: [u64; 8],
     /// The last horizon the event-horizon engine jumped to (diagnostic
     /// context for the no-forward-progress panic).
     last_skip_horizon: u64,
@@ -225,25 +144,11 @@ impl Core {
             arbiter,
             fu_busy: FuBusy::new(),
             events: BinaryHeap::new(),
-            ring: (0..RING_SPAN).map(|_| Vec::new()).collect(),
-            ring_len: 0,
-            in_macro: false,
-            macro_backoff: 0,
-            macro_backoff_len: 0,
-            block_backoff: 0,
-            block_backoff_len: 0,
-            block_len_ewma: BLOCK_HORIZON,
-            wb_buf: Vec::new(),
             taint: vec![0; total_phys],
             issue_buf: Vec::new(),
             committed: 0,
             mispredicts: 0,
             cycles_skipped: 0,
-            cycles_macro: 0,
-            cycles_block: 0,
-            blocks_built: 0,
-            blocks_invalidated: 0,
-            block_len_hist: [0; 8],
             last_skip_horizon: 0,
             stall_reasons: [0; 5],
             violations: 0,
@@ -259,46 +164,11 @@ impl Core {
     ///
     /// Panics if the machine stops making progress (a scheduler deadlock
     /// is always a bug, never a valid outcome).
-    pub fn run(self, trace: &Trace) -> SimResult {
-        self.run_with_dag(trace, None)
-    }
-
-    /// Like [`Core::run`], but reuses a pre-resolved dependence DAG for
-    /// the trace (see [`TraceDag`]). Callers that simulate the same trace
-    /// on many machines should resolve once (or use
-    /// `ballerino_workloads::cached_dag`) and pass it here; `run` resolves
-    /// a private copy when the macro-step engine is enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine stops making progress, or if `dag` was not
-    /// resolved from `trace`.
-    pub fn run_with_dag(mut self, trace: &Trace, dag: Option<&TraceDag>) -> SimResult {
+    pub fn run(mut self, trace: &Trace) -> SimResult {
         let started = std::time::Instant::now();
         let target = trace.len() as u64;
         let max_cycles = 600 * target + 200_000;
-        let local_dag;
-        let dag = if self.cfg.use_macro {
-            Some(match dag {
-                Some(d) => {
-                    assert_eq!(d.len(), trace.len(), "DAG does not match trace");
-                    d
-                }
-                None => {
-                    local_dag = TraceDag::resolve(trace);
-                    &local_dag
-                }
-            })
-        } else {
-            None
-        };
         while self.committed < target {
-            if let Some(dag) = dag {
-                self.macro_step(trace, dag, target, max_cycles);
-                if self.committed >= target {
-                    break;
-                }
-            }
             if self.cfg.skip_idle {
                 self.try_skip(trace, max_cycles);
             }
@@ -316,10 +186,10 @@ impl Core {
                 });
                 let loc = self.rob.front().map(|s| self.sched.debug_locate(*s));
                 panic!(
-                    "no forward progress: {} committed of {target} after {} cycles (sched {}, wl {}); rob head: {head:?}; locate: {loc:?}; occupancy {}/{}; held {}; cycles_skipped {}; cycles_macro {}; last skip horizon {}",
+                    "no forward progress: {} committed of {target} after {} cycles (sched {}, wl {}); rob head: {head:?}; locate: {loc:?}; occupancy {}/{}; held {}; cycles_skipped {}; last skip horizon {}",
                     self.committed, self.cycle, self.sched.name(), trace.name,
                     self.sched.occupancy(), self.sched.capacity(), self.held.len(),
-                    self.cycles_skipped, self.cycles_macro, self.last_skip_horizon,
+                    self.cycles_skipped, self.last_skip_horizon,
                 );
             }
         }
@@ -490,294 +360,6 @@ impl Core {
         self.cycle = x;
     }
 
-    // ---------------------------------------------------------- macro step
-    /// Routes a completion event either into the near-future calendar
-    /// ring (inside the macro loop) or the binary heap (everywhere else).
-    /// Both stores carry `(t, seq)` so drain order is identical.
-    #[inline]
-    fn push_completion(&mut self, t: u64, seq: u64) {
-        debug_assert!(t > self.cycle, "completions are always in the future");
-        if self.in_macro && t - self.cycle < RING_SPAN {
-            self.ring[(t % RING_SPAN) as usize].push((t, seq));
-            self.ring_len += 1;
-        } else {
-            self.events.push(Reverse((t, seq)));
-        }
-    }
-
-    /// Moves any completions still parked in the ring back into the heap
-    /// so the per-cycle path (which only reads `events`) stays correct.
-    fn flush_ring(&mut self) {
-        if self.ring_len == 0 {
-            return;
-        }
-        for bucket in &mut self.ring {
-            for (t, seq) in bucket.drain(..) {
-                self.events.push(Reverse((t, seq)));
-            }
-        }
-        self.ring_len = 0;
-    }
-
-    /// Cheap entry gate for the macro loop: engage only when this cycle
-    /// provably does something (a completion fires now, or fetch is
-    /// actively streaming). A false negative just means the per-cycle
-    /// path (with its event-horizon skip) handles the cycle instead.
-    fn macro_ready(&self, trace: &Trace) -> bool {
-        if let Some(&Reverse((t, _))) = self.events.peek() {
-            if t <= self.cycle {
-                return true;
-            }
-        }
-        !self.fetch_stalled
-            && self.cycle >= self.fetch_resume_at
-            && self.alloc_q.len() < self.cfg.alloc_queue
-            && self.fetch_idx < trace.len()
-    }
-
-    /// The planning horizon offered to [`Scheduler::macro_grant_block`]
-    /// this cycle. The load-latency hint is the exact L1-hit completion
-    /// path of `process_issue` (AGU next cycle, then the L1D hit
-    /// latency), so optimistically chained load consumers verify clean
-    /// whenever the load actually hits; the horizon length is halved in
-    /// load-dense fetch windows, where cache timing invalidates long
-    /// plans before they pay off. Both are heuristics — a wrong hint
-    /// fails block validation, it never changes simulated state.
-    fn block_horizon(&self, dag: &TraceDag) -> BlockHorizon {
-        let hi = (self.fetch_idx + BLOCK_DENSITY_WINDOW).min(dag.len());
-        let loads = dag.loads_in(self.fetch_idx, hi) as usize;
-        let cap = if loads * 4 > hi.saturating_sub(self.fetch_idx) {
-            BLOCK_HORIZON / 2
-        } else {
-            BLOCK_HORIZON
-        };
-        // Plan roughly twice as far as blocks have recently survived:
-        // dispatch-driven wakes bound block lifetime in dense code, and
-        // planning far past that point is pure wasted planner work.
-        let cycles = (self.block_len_ewma * 2).clamp(BLOCK_HORIZON_MIN, cap);
-        BlockHorizon {
-            cycles,
-            load_latency: 1 + self.cfg.mem.l1d.latency,
-        }
-    }
-
-    /// Records a finished block's achieved length (cycles actually
-    /// served before consumption or invalidation) in the diagnostic
-    /// histogram and the horizon-sizing EWMA. Takes the fields directly
-    /// so it can run while a [`ReadyCtx`] borrows the scoreboard.
-    fn note_block_end(hist: &mut [u64; 8], ewma: &mut u64, served: u64) {
-        hist[(served.max(1).ilog2() as usize).min(7)] += 1;
-        // Floor division so a run of single-cycle deaths decays the
-        // average all the way below `BLOCK_MIN_SERVE` (a ceiling here
-        // would fix-point at 4 and the hostile-regime probe gate could
-        // never engage).
-        *ewma = (*ewma * 3 + served) / 4;
-    }
-
-    /// Executes a run of consecutive cycles in one fused pass while the
-    /// pipeline stays in a steady busy regime.
-    ///
-    /// Each fused iteration performs the exact same stage sequence as
-    /// [`Core::step`] (writeback → commit → issue → dispatch → fetch),
-    /// so results are byte-identical to cycle stepping; the win is
-    /// structural: completions drain from a calendar ring instead of the
-    /// heap, issue is served from a pre-planned [`GrantBlock`] while its
-    /// per-cycle validation holds (falling back to the scheduler's
-    /// single-cycle [`Scheduler::macro_grant`] fast path, then a full
-    /// select), and fetch uses the trace DAG's pre-resolved line-cross
-    /// flags. The loop exits — falling back to the per-cycle path — at
-    /// the first cycle with no activity (which the event-horizon engine
-    /// then skips in closed form) and after any memory-order violation
-    /// squash.
-    fn macro_step(&mut self, trace: &Trace, dag: &TraceDag, target: u64, max_cycles: u64) {
-        if self.cycle < self.macro_backoff || !self.macro_ready(trace) {
-            return;
-        }
-        let fused0 = self.cycles_macro;
-        self.in_macro = true;
-        // The live grant block, if any. Owned here rather than by the
-        // scheduler so every exit from the fused loop (violation, dead
-        // cycle, commit target) drops it and the per-cycle path never
-        // observes block state.
-        let mut block: Option<GrantBlock> = None;
-        while self.committed < target && self.cycle < max_cycles {
-            let violations0 = self.violations;
-            let mut activity = false;
-
-            // -- writeback: drain this cycle's ring bucket plus any due
-            // heap entries (long-latency fills), in (cycle, seq) order.
-            let mut wb = std::mem::take(&mut self.wb_buf);
-            wb.clear();
-            {
-                let bucket = &mut self.ring[(self.cycle % RING_SPAN) as usize];
-                self.ring_len -= bucket.len();
-                for (t, seq) in bucket.drain(..) {
-                    debug_assert_eq!(t, self.cycle, "ring bucket holds only this cycle");
-                    wb.push(seq);
-                }
-            }
-            while let Some(&Reverse((t, seq))) = self.events.peek() {
-                if t > self.cycle {
-                    break;
-                }
-                debug_assert_eq!(t, self.cycle, "events are never past-due");
-                self.events.pop();
-                wb.push(seq);
-            }
-            if !wb.is_empty() {
-                activity = true;
-                wb.sort_unstable();
-                for &seq in &wb {
-                    self.writeback_one(seq);
-                }
-            }
-            self.wb_buf = wb;
-
-            // -- commit
-            let committed0 = self.committed;
-            self.commit();
-            activity |= self.committed != committed0;
-
-            // -- issue: served from the live grant block when its
-            // validation holds, else the scheduler's single-cycle fast
-            // path, else a full select.
-            let mut out = std::mem::take(&mut self.issue_buf);
-            out.clear();
-            {
-                let ctx = ReadyCtx {
-                    cycle: self.cycle,
-                    scb: &self.scb,
-                    held: &self.held,
-                };
-                let mut ports = PortAlloc::new(
-                    self.cfg.port_map.num_ports(),
-                    self.cfg.issue_width,
-                    &self.fu_busy,
-                    self.cycle,
-                );
-                // A fully-consumed block was a successful engagement:
-                // record its length, reset the dormancy ladder, and
-                // re-plan immediately.
-                if let Some(b) = block.take_if(|b| self.cycle >= b.end) {
-                    Self::note_block_end(
-                        &mut self.block_len_hist,
-                        &mut self.block_len_ewma,
-                        b.end - b.start,
-                    );
-                    self.block_backoff_len = 0;
-                }
-                let mut served = false;
-                loop {
-                    if self.cfg.use_block && block.is_none() && self.cycle >= self.block_backoff {
-                        // Regime detector: when recent blocks kept dying
-                        // within a couple of cycles (a streaming
-                        // front-end whose dispatch-driven wakes bound
-                        // every plan's life), planning costs more than
-                        // serving saves — drop to one probe plan per
-                        // maximum backoff period. A probe that survives
-                        // a drain or stall phase pulls the EWMA back up
-                        // and re-arms the engine.
-                        if self.block_len_ewma < BLOCK_PROBE_EWMA {
-                            self.block_backoff = self.cycle + self.cfg.macro_backoff_max;
-                        }
-                        let horizon = self.block_horizon(dag);
-                        match self.sched.macro_grant_block(&ctx, &mut ports, horizon) {
-                            Some(b) => {
-                                self.blocks_built += 1;
-                                block = Some(b);
-                            }
-                            None => {
-                                // Declined: the regime is unplannable
-                                // right now; stop paying the planning
-                                // cost for a while.
-                                self.block_backoff_len = (self.block_backoff_len * 2)
-                                    .clamp(self.cfg.macro_backoff_min, self.cfg.macro_backoff_max);
-                                self.block_backoff = self.cycle + self.block_backoff_len;
-                            }
-                        }
-                    }
-                    let Some(b) = block.as_mut() else { break };
-                    if self.sched.block_advance(&ctx, b, &mut out) {
-                        served = true;
-                        self.cycles_block += 1;
-                        break;
-                    }
-                    // The contract guarantees a failed advance mutated
-                    // nothing, so this cycle can still be served — by a
-                    // fresh plan (whose first advance always validates)
-                    // when the dead block ran long enough to have paid
-                    // for its own planning pass, else by the live path.
-                    let ran = self.cycle - b.start;
-                    Self::note_block_end(&mut self.block_len_hist, &mut self.block_len_ewma, ran);
-                    block = None;
-                    self.blocks_invalidated += 1;
-                    if ran >= BLOCK_MIN_SERVE && self.block_len_ewma >= BLOCK_PROBE_EWMA {
-                        continue;
-                    }
-                    self.block_backoff_len = (self.block_backoff_len * 2)
-                        .clamp(self.cfg.macro_backoff_min, self.cfg.macro_backoff_max);
-                    self.block_backoff = self.cycle + self.block_backoff_len;
-                    break;
-                }
-                if !served && !self.sched.macro_grant(&ctx, &mut ports, &mut out) {
-                    self.sched.issue(&ctx, &mut ports, &mut out);
-                }
-            }
-            if !out.is_empty() {
-                activity = true;
-                out.sort_unstable();
-                for &seq in &out {
-                    self.process_issue(seq);
-                }
-            }
-            self.issue_buf = out;
-
-            // -- dispatch (progress = queue drained, pending consumed, or
-            // a new μop renamed; a refused retry or structural stall is
-            // bookkeeping the event-horizon replay reproduces, not work)
-            let alloc0 = self.alloc_q.len();
-            let pending0 = self.pending.is_some();
-            let seq0 = self.next_seq;
-            self.dispatch(trace);
-            activity |= self.alloc_q.len() != alloc0
-                || self.pending.is_some() != pending0
-                || self.next_seq != seq0;
-
-            // -- fetch
-            let idx0 = self.fetch_idx;
-            self.fetch_macro(trace, dag);
-            activity |= self.fetch_idx != idx0;
-
-            self.cycle += 1;
-            self.cycles_macro += 1;
-            // A squash rewound the front end; resynchronize through the
-            // per-cycle path before fusing again.
-            if self.violations != violations0 {
-                break;
-            }
-            if !activity {
-                // A dead cycle: executing it performed exactly the
-                // bookkeeping the event-horizon replay would have, so the
-                // skip engine can take over from the next cycle.
-                break;
-            }
-        }
-        self.in_macro = false;
-        self.flush_ring();
-        // Hysteresis: a run that died almost immediately means the regime
-        // is not steady (memory-bound phases fuse a couple of cycles, hit
-        // a dead cycle, and exit). Re-arming the engine every cycle there
-        // costs more than the fused cycles save, so back off and let the
-        // per-cycle path (with its event-horizon skip) carry the phase.
-        if self.cycles_macro - fused0 < self.cfg.macro_min_run {
-            self.macro_backoff_len = (self.macro_backoff_len * 2)
-                .clamp(self.cfg.macro_backoff_min, self.cfg.macro_backoff_max);
-            self.macro_backoff = self.cycle + self.macro_backoff_len;
-        } else {
-            self.macro_backoff_len = 0;
-        }
-    }
-
     fn step(&mut self, trace: &Trace) {
         self.writeback();
         self.commit();
@@ -794,28 +376,22 @@ impl Core {
                 break;
             }
             self.events.pop();
-            self.writeback_one(seq);
-        }
-    }
-
-    /// Completes one μop: marks it done, wakes consumers, and unstalls
-    /// fetch on a resolved mispredict. Seqs flushed by a squash after
-    /// their event was queued are skipped harmlessly.
-    #[inline]
-    fn writeback_one(&mut self, seq: u64) {
-        let Some(inf) = self.inflight.get_mut(seq) else {
-            return;
-        };
-        inf.completed = true;
-        if let Some(d) = inf.uop.dst {
-            self.energy.prf_writes += 1;
-            self.sched.on_complete(d);
-        }
-        if inf.op.is_branch() && inf.mispredicted {
-            // Resolution redirects the front end after the recovery
-            // penalty (Table I).
-            self.fetch_stalled = false;
-            self.fetch_resume_at = self.cycle + self.cfg.recovery_penalty;
+            // Seqs flushed by a squash after their event was queued are
+            // skipped harmlessly.
+            let Some(inf) = self.inflight.get_mut(seq) else {
+                continue;
+            };
+            inf.completed = true;
+            if let Some(d) = inf.uop.dst {
+                self.energy.prf_writes += 1;
+                self.sched.on_complete(d);
+            }
+            if inf.op.is_branch() && inf.mispredicted {
+                // Resolution redirects the front end after the recovery
+                // penalty (Table I).
+                self.fetch_stalled = false;
+                self.fetch_resume_at = self.cycle + self.cfg.recovery_penalty;
+            }
         }
     }
 
@@ -987,7 +563,7 @@ impl Core {
         if let Some(d) = uop.dst {
             self.scb.set_ready_at(d, completion);
         }
-        self.push_completion(completion, seq);
+        self.events.push(Reverse((completion, seq)));
     }
 
     // ----------------------------------------------------------- dispatch
@@ -1244,67 +820,6 @@ impl Core {
         }
     }
 
-    /// [`Core::fetch`] with the trace DAG's pre-resolved line-cross
-    /// flags: within one call ops stream sequentially, so after the first
-    /// op's real line comparison the `line_cross` bit decides whether the
-    /// L1I is consulted — byte-identical, one fewer lookup per op.
-    fn fetch_macro(&mut self, trace: &Trace, dag: &TraceDag) {
-        if self.fetch_stalled || self.cycle < self.fetch_resume_at {
-            return;
-        }
-        let mut fetched = 0;
-        let mut first = true;
-        while fetched < self.cfg.front_width
-            && self.alloc_q.len() < self.cfg.alloc_queue
-            && self.fetch_idx < trace.len()
-        {
-            let op = &trace.ops[self.fetch_idx];
-            let cross = if first {
-                // `fetch_line` may refer to a non-adjacent op (squash
-                // redirect, resume mid-line): compare for real once.
-                self.fetch_line != Some(op.pc / 64)
-            } else {
-                dag.op(self.fetch_idx).line_cross
-            };
-            first = false;
-            if cross {
-                let ready = self.hier.ifetch(op.pc, self.cycle);
-                self.fetch_line = Some(op.pc / 64);
-                if ready > self.cycle + self.hier.l1i.latency() {
-                    self.fetch_resume_at = ready;
-                    break;
-                }
-            }
-            let mut mispred = false;
-            if let Some(b) = op.branch {
-                self.energy.bp_lookups += 1;
-                let pred = self.tage.predict(op.pc);
-                let dir_correct = self.tage.update(op.pc, pred, b.taken);
-                let target_pred = self.btb.lookup(op.pc);
-                self.btb.update(op.pc, b.target);
-                mispred = !dir_correct || (b.taken && target_pred != Some(b.target));
-                if mispred {
-                    self.mispredicts += 1;
-                }
-            }
-            self.alloc_q
-                .push_back((self.fetch_idx, self.cycle, mispred));
-            self.energy.fetched_uops += 1;
-            self.energy.decoded_uops += 1;
-            self.fetch_idx += 1;
-            fetched += 1;
-            if mispred {
-                // Wrong-path fetch is not simulated: the front end waits
-                // for the branch to resolve.
-                self.fetch_stalled = true;
-                break;
-            }
-        }
-        if fetched > 0 {
-            self.energy.l1i_accesses += 1;
-        }
-    }
-
     // -------------------------------------------------------------- squash
     /// Flushes every μop with `seq >= first_bad` (the violating load and
     /// everything younger), restores the RAT by walking the ROB tail
@@ -1397,11 +912,6 @@ impl Core {
             freq_ghz: self.cfg.freq_ghz,
             host_wall_s: 0.0,
             cycles_skipped: self.cycles_skipped,
-            cycles_macro: self.cycles_macro,
-            cycles_block: self.cycles_block,
-            blocks_built: self.blocks_built,
-            blocks_invalidated: self.blocks_invalidated,
-            block_len_hist: self.block_len_hist,
         }
     }
 }

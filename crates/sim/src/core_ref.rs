@@ -741,11 +741,6 @@ impl CoreRef {
             freq_ghz: self.cfg.freq_ghz,
             host_wall_s: 0.0,
             cycles_skipped: 0,
-            cycles_macro: 0,
-            cycles_block: 0,
-            blocks_built: 0,
-            blocks_invalidated: 0,
-            block_len_hist: [0; 8],
         }
     }
 }

@@ -134,25 +134,6 @@ pub struct SimResult {
     /// (throughput instrumentation; a subset of `cycles`). Always zero on
     /// the reference core and when `skip_idle` is off.
     pub cycles_skipped: u64,
-    /// Cycles executed inside the macro-step engine's fused loop
-    /// (throughput instrumentation; a subset of `cycles`, disjoint from
-    /// `cycles_skipped`). Always zero on the reference core and when
-    /// `use_macro` is off.
-    pub cycles_macro: u64,
-    /// Cycles whose issue stage was served from a pre-planned grant
-    /// block instead of a live scheduler query (throughput
-    /// instrumentation; a subset of `cycles_macro`). Always zero on the
-    /// reference core and when `use_block` is off.
-    pub cycles_block: u64,
-    /// Grant blocks the scheduler built (throughput instrumentation).
-    pub blocks_built: u64,
-    /// Grant blocks that died to a validation failure before being fully
-    /// consumed (throughput instrumentation; the rest expired naturally).
-    pub blocks_invalidated: u64,
-    /// Histogram of built block lengths in planned cycles, bucket `i`
-    /// holding lengths in `[2^i, 2^(i+1))` with the last bucket open
-    /// (throughput instrumentation).
-    pub block_len_hist: [u64; 8],
 }
 
 impl SimResult {

@@ -7,10 +7,7 @@
 //! byte-identical with skipping on and off, for every scheduler. The
 //! comparison goes through `format!("{result:?}")` on the full
 //! [`SimResult`] after zeroing the fields that are *allowed* to differ
-//! (`host_wall_s`, `cycles_skipped`, `cycles_macro`, and the
-//! block-grant instrumentation — toggling the skip engine shifts which
-//! cycles the macro-step engine fuses or block-serves, never what they
-//! compute).
+//! (`host_wall_s` and `cycles_skipped`).
 
 use ballerino_isa::rng::Rng64;
 use ballerino_isa::Trace;
@@ -55,11 +52,6 @@ fn run_normalized(
     let sched_energy = r.energy.sched;
     r.host_wall_s = 0.0;
     r.cycles_skipped = 0;
-    r.cycles_macro = 0;
-    r.cycles_block = 0;
-    r.blocks_built = 0;
-    r.blocks_invalidated = 0;
-    r.block_len_hist = [0; 8];
     (format!("{r:?}"), skipped, sched_energy)
 }
 

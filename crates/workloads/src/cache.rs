@@ -27,7 +27,7 @@ type FeatSlot = Arc<OnceLock<Arc<TraceFeatures>>>;
 ///
 /// Besides the traces themselves, the cache memoizes each trace's
 /// pre-resolved dependence/latency [`TraceDag`] (see
-/// [`TraceCache::dag`]) so the macro-step engine's one-time O(n)
+/// [`TraceCache::dag`]) so the tier-0 estimator's one-time O(n)
 /// resolution is also paid once per `(name, n, seed)` per process.
 #[derive(Debug, Default)]
 pub struct TraceCache {

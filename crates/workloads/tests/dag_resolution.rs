@@ -1,16 +1,16 @@
 //! Property tests for `TraceCache` DAG pre-resolution.
 //!
-//! The macro-step engine trusts [`TraceDag`] to equal what the per-cycle
-//! pipeline would discover incrementally at rename time. These tests
-//! re-derive the dependence structure with an **independent oracle** — a
-//! per-op backward scan over program order, the textbook definition of
-//! "youngest older producer" — and check the pre-resolved edges,
-//! inverted consumer lists, latencies, port classes, and line-cross
-//! flags against it, over both real workload traces and fully
+//! The tier-0 estimator (`ballerino-analytic`) trusts [`TraceDag`] to
+//! equal what the per-cycle pipeline would discover incrementally at
+//! rename time. These tests re-derive the dependence structure with an
+//! **independent oracle** — a per-op backward scan over program order,
+//! the textbook definition of "youngest older producer" — and check the
+//! pre-resolved edges, inverted consumer lists, latencies, and port
+//! classes against it, over both real workload traces and fully
 //! randomized μop streams.
 
 use ballerino_isa::rng::Rng64;
-use ballerino_isa::{ArchReg, MicroOp, OpClass, Trace, TraceDag, ICACHE_LINE_BYTES};
+use ballerino_isa::{ArchReg, MicroOp, OpClass, Trace, TraceDag};
 use ballerino_workloads::{workload, workload_names, TraceCache};
 
 /// Oracle: the producer of `trace[idx]`'s source slot `slot`, found by
@@ -29,7 +29,6 @@ fn oracle_producer(trace: &Trace, idx: usize, slot: usize) -> Option<u32> {
 fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
     assert_eq!(dag.len(), trace.len());
     let mut oracle_edges = Vec::new();
-    let mut prev_line = u64::MAX;
     for idx in 0..trace.len() {
         let op = &trace.ops[idx];
         let dop = dag.op(idx);
@@ -54,14 +53,6 @@ fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
         );
         assert_eq!(dop.num_srcs as usize, op.num_srcs());
         assert_eq!(dop.has_dst, op.dst.is_some());
-        let line = op.pc / ICACHE_LINE_BYTES;
-        assert_eq!(
-            dop.line_cross,
-            line != prev_line,
-            "{}: op {idx} line_cross",
-            trace.name
-        );
-        prev_line = line;
     }
     // The CSR consumer lists must be exactly the oracle edge set,
     // ascending within each producer row.
@@ -81,9 +72,8 @@ fn check_dag_matches_oracle(trace: &Trace, dag: &TraceDag) {
     assert_eq!(dag.num_edges(), oracle_edges.len());
 }
 
-/// Fully random μop stream: random classes, register slots, pcs (so
-/// line_cross exercises forward and backward pc jumps), including ops
-/// with no sources and no destination.
+/// Fully random μop stream: random classes, register slots and pcs,
+/// including ops with no sources and no destination.
 fn random_trace(n: usize, seed: u64) -> Trace {
     let mut rng = Rng64::new(seed);
     let mut t = Trace::new(format!("random_{seed}"));

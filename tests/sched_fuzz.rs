@@ -10,8 +10,7 @@ use ballerino::sim::{run_machine, MachineKind, Width};
 use ballerino::workloads::{Access, BranchBehavior, Kernel, KernelParams, StaticOp};
 
 /// Every registry kind (the full 17-row matrix the CLI and sweeps
-/// expose), so fuzzing covers every scheduler the block-grant fast path
-/// can serve or decline.
+/// expose), so fuzzing covers every scheduler.
 fn all_kinds() -> impl Iterator<Item = MachineKind> {
     KIND_REGISTRY.iter().map(|i| i.kind)
 }
