@@ -25,6 +25,7 @@
 //! across shards — the invariant `tests/determinism.rs` and the serve
 //! crate's tests pin.
 
+use ballerino_core::MAX_PIQS;
 use ballerino_sim::{run_point, DesignPoint, MachineKind, SimResult, Width};
 use ballerino_workloads::cached_workload;
 
@@ -377,6 +378,9 @@ pub fn enumerate_cells(
 /// label (`OoO`, `Ballerino-12`, `LDT`, …), and the parametric
 /// `b<N>` / `Ballerino-<N+1>` forms for [`MachineKind::BallerinoN`] —
 /// so every enumerable kind's label round-trips (a test pins this).
+/// The parametric forms accept at most [`MAX_PIQS`] P-IQs, the widest
+/// cluster the scheduler builds; wider ones are unknown names, not a
+/// panic at build time.
 pub fn kind_from_name(s: &str) -> Option<MachineKind> {
     if let Some(i) = KIND_REGISTRY.iter().find(|i| i.name == s) {
         return Some(i.kind);
@@ -391,13 +395,13 @@ pub fn kind_from_name(s: &str) -> Option<MachineKind> {
         // `BallerinoN(n)` displays as `Ballerino-{n+1}` (one S-IQ plus
         // n P-IQs).
         if let Ok(n) = rest.parse::<usize>() {
-            if n >= 1 {
+            if (1..=MAX_PIQS + 1).contains(&n) {
                 return Some(MachineKind::BallerinoN(n - 1));
             }
         }
     }
     let n: usize = s.strip_prefix('b')?.parse().ok()?;
-    Some(MachineKind::BallerinoN(n))
+    (n <= MAX_PIQS).then_some(MachineKind::BallerinoN(n))
 }
 
 /// Parses a machine width: `2 | 4 | 8 | 10`.
@@ -498,6 +502,14 @@ mod tests {
             assert_eq!(kind_from_name(name), Some(kind));
         }
         assert_eq!(kind_from_name("nope"), None);
+        // Parametric clusters wider than the scheduler builds are unknown.
+        assert_eq!(kind_from_name("b64"), Some(MachineKind::BallerinoN(64)));
+        assert_eq!(kind_from_name("b65"), None);
+        assert_eq!(
+            kind_from_name("Ballerino-65"),
+            Some(MachineKind::BallerinoN(64))
+        );
+        assert_eq!(kind_from_name("Ballerino-66"), None);
         assert_eq!(width_from_str("8"), Some(Width::Eight));
         assert_eq!(width_from_str("3"), None);
     }

@@ -24,8 +24,10 @@
 
 #![warn(missing_docs)]
 
+mod board;
 pub mod piq;
 pub mod scheduler;
 
+pub use board::MAX_PIQS;
 pub use piq::{PartId, Piq};
-pub use scheduler::{Ballerino, BallerinoConfig};
+pub use scheduler::{Ballerino, BallerinoConfig, MAX_SIQ_WINDOW};

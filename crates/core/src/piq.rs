@@ -259,19 +259,6 @@ impl Piq {
         }
     }
 
-    /// Heap-allocating variant of [`Piq::issue_candidates`] (the seed's
-    /// original signature), kept for the frozen reference issue path in
-    /// `ballerino-core`'s Ballerino scheduler.
-    pub fn issue_candidates_vec(&self) -> Vec<PartId> {
-        if !self.shared {
-            return vec![PartId(0)];
-        }
-        if self.ideal {
-            return vec![PartId(0), PartId(1)];
-        }
-        vec![PartId(self.active as u8)]
-    }
-
     /// End-of-cycle head-pointer policy (§IV-D): keep the active pointer
     /// after an issue (enabling back-to-back), otherwise activate the
     /// other partition if it holds μops.

@@ -2,6 +2,7 @@
 //! steering + MDA steering + P-IQ sharing, behind the common
 //! [`Scheduler`] trait.
 
+use crate::board::{bits, piq_tag, HeadBoard, HeadCounts, MAX_PIQS};
 use crate::piq::{PartId, Piq};
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use ballerino_sched::{
@@ -17,9 +18,10 @@ pub struct BallerinoConfig {
     /// S-IQ entries (Table II: 8 at 8-wide — 2× the dispatch width).
     pub siq_entries: usize,
     /// S-IQ slots examined per cycle (the speculative scheduling window;
-    /// equals the rename width: 4r4w).
+    /// equals the rename width: 4r4w). At most [`MAX_SIQ_WINDOW`].
     pub siq_window: usize,
     /// Number of clustered P-IQs (7 for Ballerino, 11 for Ballerino-12).
+    /// At most [`MAX_PIQS`].
     pub num_piqs: usize,
     /// Entries per P-IQ (Table II: 12).
     pub piq_entries: usize,
@@ -157,6 +159,42 @@ fn decode_loc(loc: u16) -> (usize, PartId) {
 /// matches `ballerino_sched::ldt`).
 const INITIAL_TRACKED_DELAY: u64 = 4;
 
+/// The widest S-IQ scheduling window: the issue path walks it with
+/// fixed 32-slot buffers and a `u32` remove mask.
+pub const MAX_SIQ_WINDOW: usize = 32;
+
+/// Destinations of single-cycle μops issued *this very cycle*: the
+/// scoreboard is only updated by the pipeline after `issue` returns, so
+/// the intra-group enable logic (Fig. 8) tracks them here to keep their
+/// consumers in the S-IQ for back-to-back issue. Issues are port
+/// claims, so `MAX_PORTS` bounds them per cycle.
+struct JustIssued {
+    regs: [PhysReg; MAX_PORTS],
+    len: usize,
+}
+
+impl JustIssued {
+    fn new() -> Self {
+        JustIssued {
+            regs: [PhysReg(0); MAX_PORTS],
+            len: 0,
+        }
+    }
+
+    fn note(&mut self, u: &SchedUop) {
+        if !u.is_load() && u.class.exec_latency() as u64 <= 1 {
+            if let Some(d) = u.dst {
+                self.regs[self.len] = d;
+                self.len += 1;
+            }
+        }
+    }
+
+    fn contains(&self, r: &PhysReg) -> bool {
+        self.regs[..self.len].contains(r)
+    }
+}
+
 /// Per-cycle shape of an idle S-IQ window walk (see
 /// `Ballerino::idle_window_shape`).
 struct IdleWindow {
@@ -164,7 +202,9 @@ struct IdleWindow {
     lingerers: usize,
     /// Whether a failed-steer blocker terminates the walk.
     blocker: bool,
-    /// First cycle at which the walk's shape changes.
+    /// First cycle at which the walk's shape changes without a
+    /// completion edge (a far blocker's source sliding inside the
+    /// speculation horizon); `u64::MAX` when only edges can change it.
     horizon: u64,
 }
 
@@ -191,15 +231,34 @@ pub struct Ballerino {
     /// Sharing-mode activations (diagnostics / Fig. 13 analysis).
     pub sharing_activations: u64,
     /// Producer-indexed wakeup lists + ready state. A μop's fabric entry
-    /// is keyed by seq, so it survives the S-IQ → P-IQ steering moves.
+    /// is keyed by seq, so it survives the S-IQ → P-IQ steering moves;
+    /// steering tags it with its P-IQ location.
     fabric: WakeFabric,
+    /// The P-IQ heads' states, maintained on edges (see `board.rs`).
+    board: HeadBoard,
     name: String,
-    reference_issue: bool,
 }
 
 impl Ballerino {
     /// Builds an empty Ballerino scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `siq_window` exceeds [`MAX_SIQ_WINDOW`] or `num_piqs`
+    /// exceeds [`MAX_PIQS`] (the widths of the issue path's fixed
+    /// buffers and masks).
     pub fn new(cfg: BallerinoConfig) -> Self {
+        assert!(
+            cfg.siq_window <= MAX_SIQ_WINDOW,
+            "S-IQ window {} exceeds the {MAX_SIQ_WINDOW}-slot issue buffers",
+            cfg.siq_window
+        );
+        assert!(
+            cfg.num_piqs <= MAX_PIQS,
+            "{} P-IQs exceed the {MAX_PIQS}-queue head board",
+            cfg.num_piqs
+        );
+        let board = HeadBoard::new(cfg.num_piqs, cfg.ideal_sharing);
         let piqs = (0..cfg.num_piqs)
             .map(|_| Piq::new(cfg.piq_entries, cfg.ideal_sharing))
             .collect();
@@ -231,8 +290,8 @@ impl Ballerino {
             breakdown: IssueBreakdown::default(),
             sharing_activations: 0,
             fabric: WakeFabric::new(),
+            board,
             name,
-            reference_issue: false,
         }
     }
 
@@ -272,7 +331,92 @@ impl Ballerino {
             }
         }
         self.energy.queue_writes += 1;
+        let was_empty = self.piqs[piq].front(part).is_none();
         self.piqs[piq].push(part, uop);
+        self.fabric.set_tag(uop.seq, piq_tag(piq, part));
+        if was_empty {
+            self.board
+                .set_head(piq, part, Some(self.fabric.state(uop.seq)));
+        }
+    }
+
+    /// Pops the head of partition `part` of P-IQ `k`, moving the board to
+    /// the next head (or to empty, collapsing sharing when both
+    /// partitions drained).
+    fn pop_head(&mut self, k: usize, part: PartId) -> SchedUop {
+        let u = self.piqs[k].pop(part).expect("head present");
+        let next = self.piqs[k].front(part).map(|h| self.fabric.state(h.seq));
+        self.board.set_head(k, part, next);
+        if !self.piqs[k].is_shared() {
+            self.board.set_shared(k, false);
+        }
+        u
+    }
+
+    /// Claims a port for the ready head of partition `part` of P-IQ `k`
+    /// and issues it; returns whether the port was free.
+    fn issue_head(
+        &mut self,
+        k: usize,
+        part: PartId,
+        ctx: &ReadyCtx<'_>,
+        ports: &mut PortAlloc<'_>,
+        just_issued: &mut JustIssued,
+        out: &mut Vec<u64>,
+    ) -> bool {
+        let head = self.piqs[k].front(part).expect("ready head present");
+        if !ports.try_claim(head.port, head.class) {
+            return false;
+        }
+        let u = self.pop_head(k, part);
+        self.fabric.remove(u.seq);
+        self.energy.queue_reads += 1;
+        self.breakdown.from_piq += 1;
+        self.release_store_lfst(&u);
+        self.note_ldt_issue(&u, ctx.cycle);
+        just_issued.note(&u);
+        out.push(u.seq);
+        true
+    }
+
+    fn record_heads(&mut self, c: HeadCounts) {
+        self.energy.head_examinations += c.exams;
+        self.heads.record_n(HeadState::Empty, c.empty);
+        self.heads.record_n(HeadState::StallNonReady, c.waiting);
+        self.heads.record_n(HeadState::StallMdepLoad, c.held);
+    }
+
+    /// Debug cross-check: the board must equal one rebuilt by walking
+    /// every head, and this cycle's view of it must equal a plain walk
+    /// of each queue's issue candidates.
+    #[cfg(debug_assertions)]
+    fn check_board(&self) {
+        let walked = HeadBoard::from_walk(&self.piqs, &self.fabric, self.cfg.ideal_sharing);
+        assert_eq!(
+            self.board, walked,
+            "P-IQ head board diverged from its heads"
+        );
+        let mut v = crate::board::IssueView::default();
+        for (k, q) in self.piqs.iter().enumerate() {
+            if q.active_part() == PartId(1) {
+                v.active1 |= 1 << k;
+            }
+            for (i, part) in q.issue_candidates().enumerate() {
+                let state = q.front(part).map(|h| self.fabric.state(h.seq));
+                if state.is_some() {
+                    v.counts.exams += 1;
+                }
+                match (i, state) {
+                    (0, None) => v.counts.empty += 1,
+                    (0, Some(WakeState::Waiting)) => v.counts.waiting += 1,
+                    (0, Some(WakeState::Held)) => v.counts.held += 1,
+                    (0, Some(WakeState::Ready)) => v.ready_first |= 1 << k,
+                    (_, Some(WakeState::Ready)) => v.ready_second |= 1 << k,
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(self.board.issue_view(), v, "P-IQ head board view diverged");
     }
 
     /// LDT steering target: the partition whose tail's predicted ready
@@ -450,6 +594,7 @@ impl Ballerino {
         if self.cfg.piq_sharing {
             if let Some(k) = self.piqs.iter().position(|q| q.shareable()) {
                 let p = self.piqs[k].activate_sharing();
+                self.board.set_shared(k, true);
                 self.sharing_activations += 1;
                 return Some((k, p));
             }
@@ -560,13 +705,10 @@ impl Ballerino {
     /// idle (an entry would issue, fight for a port, or be steered), else
     /// the walk's per-cycle shape: how many entries linger, whether a
     /// failed-steer blocker terminates the walk, and the first cycle at
-    /// which the shape itself changes.
+    /// which the shape changes without a completion edge.
     fn idle_window_shape(&self, ctx: &ReadyCtx<'_>) -> Option<IdleWindow> {
         let window = self.cfg.siq_window.min(self.siq.len());
-        if window > 16 {
-            return None; // conservative: fixed lingering buffer below
-        }
-        let mut lingering = [PhysReg(0); 16];
+        let mut lingering = [PhysReg(0); MAX_SIQ_WINDOW];
         let mut n_linger = 0usize;
         let mut horizon = u64::MAX;
         let mut lingerers = 0usize;
@@ -589,11 +731,8 @@ impl Ballerino {
                 }
                 if !far {
                     // Lingers for back-to-back issue; wakes (and issues)
-                    // once every source is ready.
-                    let rc = ctx.scb.srcs_ready_cycle(&u.srcs);
-                    if rc != u64::MAX {
-                        horizon = horizon.min(rc);
-                    }
+                    // on its last source's completion edge, which the
+                    // pipeline's event queue already bounds.
                     if let Some(d) = u.dst {
                         lingering[n_linger] = d;
                         n_linger += 1;
@@ -637,164 +776,6 @@ impl Ballerino {
     }
 }
 
-impl Ballerino {
-    /// Switches to the seed's per-cycle-allocating issue path (identical
-    /// grant decisions); kept for the `perf_smoke` reference baseline.
-    pub fn with_reference_issue(mut self) -> Self {
-        self.reference_issue = true;
-        self
-    }
-
-    /// The seed's issue path, frozen verbatim for the `perf_smoke`
-    /// reference baseline: allocates its tracking buffers every cycle
-    /// and asks each P-IQ for a heap-allocated candidate list. Grant
-    /// decisions are identical to [`Scheduler::issue`].
-    fn issue_reference(
-        &mut self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        out: &mut Vec<u64>,
-    ) {
-        // Destinations of single-cycle μops issued *this very cycle*: the
-        // scoreboard is only updated by the pipeline after this call, so
-        // the intra-group enable logic (Fig. 8) must track them here to
-        // keep their consumers in the S-IQ for back-to-back issue.
-        let mut just_issued: Vec<PhysReg> = Vec::new();
-        let note_issue = |u: &SchedUop, v: &mut Vec<PhysReg>| {
-            if !u.is_load() && u.class.exec_latency() as u64 <= 1 {
-                if let Some(d) = u.dst {
-                    v.push(d);
-                }
-            }
-        };
-
-        // ---- 1. P-IQ heads: highest select priority (prefix-sum order,
-        //         §IV-E), examined via the active head pointer(s).
-        let mut any_candidate = false;
-        for k in 0..self.piqs.len() {
-            let mut issued_part: Option<PartId> = None;
-            let mut recorded = false;
-            for part in self.piqs[k].issue_candidates_vec() {
-                let state = match self.piqs[k].front(part) {
-                    None => HeadState::Empty,
-                    Some(head) => {
-                        self.energy.head_examinations += 1;
-                        if ctx.is_ready(head) {
-                            any_candidate = true;
-                            if ports.try_claim(head.port, head.class) {
-                                HeadState::Issuing
-                            } else {
-                                HeadState::StallPortConflict
-                            }
-                        } else if ctx.is_mdp_blocked(head) {
-                            HeadState::StallMdepLoad
-                        } else {
-                            HeadState::StallNonReady
-                        }
-                    }
-                };
-                if !recorded {
-                    // One observation per queue per cycle.
-                    self.heads.record(state);
-                    recorded = true;
-                }
-                if state == HeadState::Issuing {
-                    let u = self.piqs[k].pop(part).expect("head present");
-                    self.fabric.remove(u.seq);
-                    self.energy.queue_reads += 1;
-                    self.breakdown.from_piq += 1;
-                    self.release_store_lfst(&u);
-                    self.note_ldt_issue(&u, ctx.cycle);
-                    note_issue(&u, &mut just_issued);
-                    out.push(u.seq);
-                    issued_part = Some(part);
-                }
-            }
-            self.piqs[k].end_cycle(issued_part);
-        }
-
-        // ---- 2. S-IQ speculative scheduling window: ready μops issue,
-        //         far-from-ready μops are steered to the P-IQs.
-        let window = self.cfg.siq_window.min(self.siq.len());
-        let mut remove: Vec<usize> = Vec::new();
-        let mut lingering: Vec<PhysReg> = Vec::new();
-        for i in 0..window {
-            let u = self.siq[i];
-            self.energy.head_examinations += 1;
-            if ctx.is_ready(&u) {
-                any_candidate = true;
-                if ports.try_claim(u.port, u.class) {
-                    self.fabric.remove(u.seq);
-                    self.energy.queue_reads += 1;
-                    self.breakdown.from_siq += 1;
-                    self.steer.record(SteerEvent::SpeculativeIssue);
-                    self.release_store_lfst(&u);
-                    self.note_ldt_issue(&u, ctx.cycle);
-                    note_issue(&u, &mut just_issued);
-                    out.push(u.seq);
-                    remove.push(i);
-                } else {
-                    // Ready but port-denied (§IV-C case 3): steer to a new
-                    // P-IQ head; re-examined there next cycle.
-                    self.energy.steer_ops += 1;
-                    if let Some((k, part)) = self.alloc_target() {
-                        let shared = self.piqs[k].is_shared();
-                        self.steer.record(if shared {
-                            SteerEvent::SteerShared
-                        } else {
-                            SteerEvent::AllocReady
-                        });
-                        self.push_tracked(k, part, u);
-                        remove.push(i);
-                    }
-                    // No free queue: it simply stays in the S-IQ.
-                }
-                continue;
-            }
-            // Held loads must move to the P-IQs (ideally behind their
-            // producer store via MDA steering).
-            let held = ctx.held.contains(u.seq);
-            if !held {
-                // Soon-ready consumers linger for back-to-back issue; a
-                // source counts as soon-ready when its producer issued
-                // within this very cycle with single-cycle latency, or
-                // when the producer itself lingers in the window (the
-                // intra-group dependence analysis of Fig. 8 keeps whole
-                // soon-ready chains in the S-IQ).
-                let far = u.srcs.iter().flatten().any(|s| {
-                    let rc = ctx.scb.ready_cycle(*s);
-                    rc > ctx.cycle + self.cfg.spec_horizon
-                        && !just_issued.contains(s)
-                        && !lingering.contains(s)
-                });
-                if !far {
-                    if let Some(d) = u.dst {
-                        lingering.push(d);
-                    }
-                    continue;
-                }
-            }
-            if self.steer(&u) {
-                remove.push(i);
-            } else {
-                // Steering stall: the window cannot advance past this μop.
-                self.steer.record(SteerEvent::StallNonReady);
-                break;
-            }
-        }
-        for &i in remove.iter().rev() {
-            self.siq.remove(i);
-        }
-
-        if any_candidate {
-            // Each port's prefix-sum sees P-IQ head requests above S-IQ
-            // slot requests (§IV-E).
-            let inputs = self.cfg.num_piqs + self.cfg.siq_window;
-            self.energy.select_inputs += inputs as u64;
-        }
-    }
-}
-
 impl Scheduler for Ballerino {
     fn name(&self) -> &str {
         &self.name
@@ -831,82 +812,52 @@ impl Scheduler for Ballerino {
         if self.cfg.ldt_steering {
             self.observe_loads(ctx);
         }
-        if self.reference_issue {
-            return self.issue_reference(ctx, ports, out);
-        }
-        self.fabric.poll(ctx);
-        // Destinations of single-cycle μops issued *this very cycle*: the
-        // scoreboard is only updated by the pipeline after this call, so
-        // the intra-group enable logic (Fig. 8) must track them here to
-        // keep their consumers in the S-IQ for back-to-back issue. Issues
-        // are port claims, so MAX_PORTS bounds them per cycle.
-        let mut just_issued = [PhysReg(0); MAX_PORTS];
-        let mut n_issued = 0usize;
-        fn note_issue(u: &SchedUop, v: &mut [PhysReg; MAX_PORTS], n: &mut usize) {
-            if !u.is_load() && u.class.exec_latency() as u64 <= 1 {
-                if let Some(d) = u.dst {
-                    v[*n] = d;
-                    *n += 1;
-                }
-            }
-        }
+        let board = &mut self.board;
+        let piqs = &self.piqs;
+        self.fabric.poll_with(ctx, |seq, tag| {
+            board.on_edge(piqs, seq, tag, WakeState::Ready)
+        });
+        #[cfg(debug_assertions)]
+        self.check_board();
+        let mut just_issued = JustIssued::new();
 
         // ---- 1. P-IQ heads: highest select priority (prefix-sum order,
         //         §IV-E), examined via the active head pointer(s). The
-        //         fabric's per-entry state replaces the per-head operand
-        //         scan: Ready/Held/Waiting map onto the head-state taxonomy.
-        let mut any_candidate = false;
-        for k in 0..self.piqs.len() {
-            let mut issued_part: Option<PartId> = None;
-            let mut recorded = false;
-            for part in self.piqs[k].issue_candidates() {
-                let state = match self.piqs[k].front(part) {
-                    None => HeadState::Empty,
-                    Some(head) => {
-                        self.energy.head_examinations += 1;
-                        match self.fabric.state(head.seq) {
-                            WakeState::Ready => {
-                                any_candidate = true;
-                                if ports.try_claim(head.port, head.class) {
-                                    HeadState::Issuing
-                                } else {
-                                    HeadState::StallPortConflict
-                                }
-                            }
-                            WakeState::Held => HeadState::StallMdepLoad,
-                            WakeState::Waiting => HeadState::StallNonReady,
-                        }
-                    }
-                };
-                if !recorded {
-                    // One observation per queue per cycle.
-                    self.heads.record(state);
-                    recorded = true;
-                }
-                if state == HeadState::Issuing {
-                    let u = self.piqs[k].pop(part).expect("head present");
-                    self.fabric.remove(u.seq);
-                    self.energy.queue_reads += 1;
-                    self.breakdown.from_piq += 1;
-                    self.release_store_lfst(&u);
-                    self.note_ldt_issue(&u, ctx.cycle);
-                    note_issue(&u, &mut just_issued, &mut n_issued);
-                    out.push(u.seq);
-                    issued_part = Some(part);
+        //         head board supplies every examination and every record
+        //         of a non-ready head; only ready candidate heads are
+        //         visited, in queue order, to arbitrate for ports.
+        let view = self.board.issue_view();
+        self.record_heads(view.counts);
+        let mut any_candidate = (view.ready_first | view.ready_second) != 0;
+        let mut issued = 0u64;
+        for k in bits(view.ready_first | view.ready_second) {
+            if view.ready_first & (1 << k) != 0 {
+                let hit = self.issue_head(k, view.first_part(k), ctx, ports, &mut just_issued, out);
+                // One observation per queue per cycle: its first candidate.
+                self.heads.record(if hit {
+                    HeadState::Issuing
+                } else {
+                    HeadState::StallPortConflict
+                });
+                if hit {
+                    issued |= 1 << k;
                 }
             }
-            self.piqs[k].end_cycle(issued_part);
+            if view.ready_second & (1 << k) != 0
+                && self.issue_head(k, PartId(1), ctx, ports, &mut just_issued, out)
+            {
+                issued |= 1 << k;
+            }
+        }
+        for k in bits(self.board.end_cycle(issued)) {
+            self.piqs[k].end_cycle(None);
         }
 
         // ---- 2. S-IQ speculative scheduling window: ready μops issue,
         //         far-from-ready μops are steered to the P-IQs.
         let window = self.cfg.siq_window.min(self.siq.len());
-        debug_assert!(
-            window <= 32,
-            "S-IQ window wider than the fixed issue buffers"
-        );
         let mut remove_mask = 0u32;
-        let mut lingering = [PhysReg(0); 32];
+        let mut lingering = [PhysReg(0); MAX_SIQ_WINDOW];
         let mut n_linger = 0usize;
         for i in 0..window {
             let u = self.siq[i];
@@ -920,7 +871,7 @@ impl Scheduler for Ballerino {
                     self.steer.record(SteerEvent::SpeculativeIssue);
                     self.release_store_lfst(&u);
                     self.note_ldt_issue(&u, ctx.cycle);
-                    note_issue(&u, &mut just_issued, &mut n_issued);
+                    just_issued.note(&u);
                     out.push(u.seq);
                     remove_mask |= 1 << i;
                 } else {
@@ -955,7 +906,7 @@ impl Scheduler for Ballerino {
                 let far = u.srcs.iter().flatten().any(|s| {
                     let rc = ctx.scb.ready_cycle(*s);
                     rc > ctx.cycle + self.cfg.spec_horizon
-                        && !just_issued[..n_issued].contains(s)
+                        && !just_issued.contains(s)
                         && !lingering[..n_linger].contains(s)
                 });
                 if !far {
@@ -994,7 +945,10 @@ impl Scheduler for Ballerino {
             // The value exists: its delay prediction is spent.
             self.dt.clear(dst);
         }
-        self.fabric.on_complete(dst);
+        let board = &mut self.board;
+        let piqs = &self.piqs;
+        self.fabric
+            .on_complete_with(dst, |seq, tag, state| board.on_edge(piqs, seq, tag, state));
     }
 
     fn flush_after(&mut self, seq: u64, flushed_dests: &[PhysReg]) {
@@ -1005,6 +959,7 @@ impl Scheduler for Ballerino {
         for q in &mut self.piqs {
             q.flush_after(seq);
         }
+        self.board = HeadBoard::from_walk(&self.piqs, &self.fabric, self.cfg.ideal_sharing);
         for d in flushed_dests {
             self.loc.clear(*d);
         }
@@ -1053,26 +1008,21 @@ impl Scheduler for Ballerino {
         if pending.is_some() && self.siq.len() < self.cfg.siq_entries {
             return None; // dispatch would be accepted this cycle
         }
-        let mut horizon = u64::MAX;
         // P-IQ heads. The single-active-head toggle visits both partitions
-        // of a shared queue across idle cycles, so both heads must hold
-        // still and both bound the horizon: a non-held head issues when
-        // its sources arrive, and a held head's recorded state flips from
-        // StallNonReady to StallMdepLoad at the same point.
-        for q in &self.piqs {
-            for part in [PartId(0), PartId(1)] {
-                let Some(head) = q.front(part) else { continue };
-                if ctx.is_ready(head) {
-                    return None;
-                }
-                let rc = ctx.scb.srcs_ready_cycle(&head.srcs);
-                if rc != u64::MAX && rc > ctx.cycle {
-                    horizon = horizon.min(rc);
-                }
-            }
+        // of a shared queue across idle cycles, so no head of either may
+        // be issuable: none ready, and no held head whose hold is already
+        // released. A waiting head wakes only on a completion edge, which
+        // the pipeline's event queue bounds, so heads add no horizon.
+        if self.board.any_ready()
+            || self.board.held_heads().any(|(k, part)| {
+                let head = self.piqs[k].front(part).expect("held head present");
+                !ctx.held.contains(head.seq)
+            })
+        {
+            return None;
         }
         let shape = self.idle_window_shape(ctx)?;
-        Some(horizon.min(shape.horizon))
+        Some(shape.horizon)
     }
 
     fn note_idle_cycles(&mut self, ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>, k: u64) {
@@ -1086,76 +1036,14 @@ impl Scheduler for Ballerino {
             self.observe_loads(ctx);
         }
         // ---- 1. P-IQ heads: replay examinations, head-state records and
-        //         the active-pointer toggle in closed form.
-        for qi in 0..self.piqs.len() {
-            let state_of = |head: &SchedUop| {
-                if ctx.is_mdp_blocked(head) {
-                    HeadState::StallMdepLoad
-                } else {
-                    HeadState::StallNonReady
-                }
-            };
-            // (head examinations, up to two (state, count) records)
-            let (exams, rec0, rec1) = {
-                let q = &self.piqs[qi];
-                if !q.is_shared() {
-                    match q.front(PartId(0)) {
-                        None => (0, Some((HeadState::Empty, k)), None),
-                        Some(h) => (k, Some((state_of(h), k)), None),
-                    }
-                } else if self.cfg.ideal_sharing {
-                    // Both heads examined every cycle; the partition-0
-                    // head is the one recorded.
-                    let mut exams = 0;
-                    let s0 = match q.front(PartId(0)) {
-                        None => HeadState::Empty,
-                        Some(h) => {
-                            exams += k;
-                            state_of(h)
-                        }
-                    };
-                    if q.front(PartId(1)).is_some() {
-                        exams += k;
-                    }
-                    (exams, Some((s0, k)), None)
-                } else {
-                    let a = q.active_part();
-                    let b = PartId(1 - a.0);
-                    match (q.front(a), q.front(b)) {
-                        (Some(ha), Some(hb)) => {
-                            // Period-2 alternation: active head first.
-                            (
-                                k,
-                                Some((state_of(ha), k - k / 2)),
-                                Some((state_of(hb), k / 2)),
-                            )
-                        }
-                        (Some(ha), None) => (k, Some((state_of(ha), k)), None),
-                        (None, Some(hb)) => {
-                            // One Empty observation, then the pointer
-                            // leaves the drained partition for good.
-                            (
-                                k - 1,
-                                Some((HeadState::Empty, 1)),
-                                Some((state_of(hb), k - 1)),
-                            )
-                        }
-                        (None, None) => {
-                            debug_assert!(false, "shared P-IQ with both partitions empty");
-                            (0, None, None)
-                        }
-                    }
-                }
-            };
-            self.energy.head_examinations += exams;
-            if let Some((s, n)) = rec0 {
-                self.heads.record_n(s, n);
-            }
-            if let Some((s, n)) = rec1 {
-                self.heads.record_n(s, n);
-            }
-            self.piqs[qi].end_idle_cycles(k);
+        //         the active-pointer toggles in closed form.
+        let (counts, toggled) = self.board.end_idle_cycles(k);
+        self.record_heads(counts);
+        for q in bits(toggled) {
+            self.piqs[q].end_idle_cycles(k);
         }
+        #[cfg(debug_assertions)]
+        self.check_board();
         // ---- 2. S-IQ window: lingering entries cost one examination
         //         each; a failed-steer blocker re-probes the steering
         //         tables every cycle.
@@ -1258,6 +1146,24 @@ mod tests {
             let mut out = Vec::new();
             self.b.issue(&ctx, &mut pa, &mut out);
             out
+        }
+
+        fn next_event(&self, cycle: u64) -> Option<u64> {
+            let ctx = ReadyCtx {
+                cycle,
+                scb: &self.scb,
+                held: &self.held,
+            };
+            self.b.next_event_cycle(&ctx, None)
+        }
+
+        fn idle(&mut self, cycle: u64, k: u64) {
+            let ctx = ReadyCtx {
+                cycle,
+                scb: &self.scb,
+                held: &self.held,
+            };
+            self.b.note_idle_cycles(&ctx, None, k);
         }
     }
 
@@ -1407,6 +1313,122 @@ mod tests {
             issued.extend(r.issue(t));
         }
         assert_eq!(issued, vec![1], "younger chain must bypass the blocked one");
+    }
+
+    /// A shared P-IQ whose active head waits while the other
+    /// partition's head is ready: the waiting head is the one examined
+    /// and recorded, the ready one is not a candidate (and not issued)
+    /// until the pointer toggles to it, and the records alternate with
+    /// the pointer — the same whether the idle stretch before it is
+    /// stepped or replayed in closed form.
+    #[test]
+    fn shared_piq_records_alternate_with_the_active_head() {
+        let cfg = BallerinoConfig {
+            num_piqs: 1,
+            ..BallerinoConfig::eight_wide()
+        };
+        let (mut stepped, mut replayed) = (Rig::new(cfg.clone()), Rig::new(cfg));
+        for r in [&mut stepped, &mut replayed] {
+            for p in 10..20 {
+                r.scb.allocate(PhysReg(p));
+            }
+            r.dispatch(op(0, Some(15), [Some(10), None])); // chain A -> partition 0
+            r.dispatch(op(1, Some(16), [Some(11), None])); // chain B -> partition 1
+            assert!(r.issue(0).is_empty());
+            assert!(r.b.piq_shared(0));
+            assert_eq!(r.b.head_stats().empty, 1, "cycle 0 saw an empty queue");
+        }
+        // Cycles 1..=8: both heads wait; the pointer alternates 0,1,0,...
+        for t in 1..=8 {
+            assert!(stepped.issue(t).is_empty());
+        }
+        assert_eq!(
+            replayed.next_event(1),
+            Some(u64::MAX),
+            "waiting heads add no horizon"
+        );
+        replayed.idle(1, 8);
+        for r in [&stepped, &replayed] {
+            assert_eq!(r.b.head_stats().stall_nonready, 8);
+            assert_eq!(
+                r.b.piqs[0].active_part(),
+                PartId(0),
+                "even number of toggles"
+            );
+        }
+        assert_eq!(stepped.b.energy_events(), replayed.b.energy_events());
+        let before = stepped.b.energy_events().head_examinations;
+        for r in [&mut stepped, &mut replayed] {
+            // B's producer completes: partition 1's head is ready but not
+            // active; the machine is no longer quiesced.
+            r.scb.set_ready_at(PhysReg(11), 9);
+            r.b.on_complete(PhysReg(11));
+            assert_eq!(r.next_event(9), None, "a ready head, candidate or not");
+            // Cycle 9: the active head (A, waiting) is examined and
+            // recorded; B does not issue.
+            assert!(r.issue(9).is_empty());
+            assert_eq!(r.b.head_stats().stall_nonready, 9);
+            assert_eq!(r.b.head_stats().issuing, 0);
+            // Cycle 10: the pointer toggled to B, which issues.
+            assert_eq!(r.issue(10), vec![1]);
+            assert_eq!(r.b.head_stats().issuing, 1);
+            // Cycle 11: B's drained partition is still active (it issued
+            // last cycle): one Empty record, then the pointer leaves it.
+            assert!(r.issue(11).is_empty());
+            assert_eq!(r.b.head_stats().empty, 2);
+            assert!(r.issue(12).is_empty());
+            assert_eq!(r.b.head_stats().stall_nonready, 10);
+        }
+        // Examinations at cycles 9, 10, 12 (none of the empty head at 11).
+        assert_eq!(stepped.b.energy_events().head_examinations, before + 3);
+        assert_eq!(stepped.b.head_stats(), replayed.b.head_stats());
+        assert_eq!(stepped.b.energy_events(), replayed.b.energy_events());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-slot issue buffers")]
+    fn siq_window_wider_than_the_issue_buffers_is_rejected() {
+        let _ = Ballerino::new(BallerinoConfig {
+            siq_entries: 64,
+            siq_window: MAX_SIQ_WINDOW + 1,
+            ..BallerinoConfig::eight_wide()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "P-IQs exceed the 64-queue head board")]
+    fn more_piqs_than_the_head_board_holds_are_rejected() {
+        let _ = Ballerino::new(BallerinoConfig {
+            num_piqs: MAX_PIQS + 1,
+            ..BallerinoConfig::eight_wide()
+        });
+    }
+
+    /// The widest accepted shape: a full 32-slot window steering into
+    /// all 64 P-IQs, the last queue's head issuing through the board.
+    #[test]
+    fn widest_accepted_config_steers_and_issues() {
+        let mut r = Rig::new(BallerinoConfig {
+            siq_entries: MAX_SIQ_WINDOW,
+            siq_window: MAX_SIQ_WINDOW,
+            num_piqs: MAX_PIQS,
+            ..BallerinoConfig::eight_wide()
+        });
+        for i in 0..MAX_SIQ_WINDOW as u64 {
+            r.scb.allocate(PhysReg(100 + i as u32));
+            let mut u = op(i, None, [Some(100 + i as u32), None]);
+            u.port = PortId(0);
+            r.dispatch(u);
+        }
+        assert_eq!(r.next_event(0), None, "every window entry would steer");
+        assert!(r.issue(0).is_empty());
+        assert_eq!(r.b.siq_len(), 0);
+        assert_eq!(r.b.piq_len(MAX_SIQ_WINDOW - 1), 1);
+        let last = MAX_SIQ_WINDOW as u32 - 1;
+        r.scb.set_ready_at(PhysReg(100 + last), 3);
+        r.b.on_complete(PhysReg(100 + last));
+        assert_eq!(r.issue(3), vec![last as u64]);
+        assert_eq!(r.b.issue_breakdown().from_piq, 1);
     }
 
     #[test]

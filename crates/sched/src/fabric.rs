@@ -30,6 +30,10 @@
 //!   whose sources are done but whose `mdp_wait` is set park in a held
 //!   list that [`WakeFabric::poll`] re-checks against
 //!   [`ReadyCtx::held`] once per issue call — O(held), not O(window).
+//! * **Edge-only wakes.** A `Waiting` entry becomes issuable only on an
+//!   `on_complete` edge, so the quiesce query ([`WakeFabric::min_wake`])
+//!   needs no per-entry horizon: the pipeline already bounds its skip by
+//!   the earliest queued completion. The query is O(held).
 //!
 //! Entries are keyed by the μop sequence number in a dense slab
 //! (`seq - base` indexing, the same discipline as the simulator's
@@ -62,11 +66,11 @@ pub enum WakeState {
 #[derive(Debug, Clone)]
 struct WakeEntry {
     /// Scheduler-defined payload tag (the OoO IQ stores its slot index,
-    /// which is its select priority; FIFO designs leave it 0).
+    /// which is its select priority; Ballerino a P-IQ resident's
+    /// location; other FIFO designs leave it 0).
     tag: u32,
     port: PortId,
     class: OpClass,
-    srcs: [Option<PhysReg>; 2],
     /// Per-source pending marker; `None` once the source completed (or
     /// was ready at insert).
     waiting_on: [Option<PhysReg>; 2],
@@ -149,6 +153,12 @@ impl WakeFabric {
     /// The scheduler-defined tag of resident μop `seq`.
     pub fn tag_of(&self, seq: u64) -> u32 {
         self.entry(seq).tag
+    }
+
+    /// Replaces the tag of resident μop `seq` (Ballerino records a μop's
+    /// P-IQ location once it is steered there).
+    pub fn set_tag(&mut self, seq: u64, tag: u32) {
+        self.entry_mut(seq).tag = tag;
     }
 
     fn waiter_list(&mut self, r: PhysReg) -> &mut Vec<u64> {
@@ -237,7 +247,6 @@ impl WakeFabric {
             tag,
             port: uop.port,
             class: uop.class,
-            srcs: uop.srcs,
             waiting_on,
             pending,
             mdp,
@@ -259,6 +268,13 @@ impl WakeFabric {
     /// `Ready` (or `Held` when an MDP hold may still be outstanding —
     /// resolved by the next [`WakeFabric::poll`]).
     pub fn on_complete(&mut self, dst: PhysReg) {
+        self.on_complete_with(dst, |_, _, _| {});
+    }
+
+    /// [`WakeFabric::on_complete`] that also reports each wake edge:
+    /// `woke(seq, tag, state)` runs for every entry leaving `Waiting`,
+    /// with its new state (`Ready` or `Held`).
+    pub fn on_complete_with(&mut self, dst: PhysReg, mut woke: impl FnMut(u64, u32, WakeState)) {
         let di = dst.index();
         if di >= self.waiters.len() {
             return;
@@ -273,11 +289,14 @@ impl WakeFabric {
             *slot = None;
             e.pending -= 1;
             if e.pending == 0 {
+                let tag = e.tag;
                 if e.mdp {
                     // The hold may already be released; `poll` decides.
                     self.push_held(seq);
+                    woke(seq, tag, WakeState::Held);
                 } else {
                     self.push_ready(seq);
+                    woke(seq, tag, WakeState::Ready);
                 }
             }
         }
@@ -287,6 +306,13 @@ impl WakeFabric {
     /// store issued). Call once at the start of each `issue` before
     /// consulting [`WakeFabric::state`] / [`WakeFabric::select`].
     pub fn poll(&mut self, ctx: &ReadyCtx<'_>) {
+        self.poll_with(ctx, |_, _| {});
+    }
+
+    /// [`WakeFabric::poll`] that also reports each release edge:
+    /// `released(seq, tag)` runs for every entry moving from `Held` to
+    /// `Ready`.
+    pub fn poll_with(&mut self, ctx: &ReadyCtx<'_>, mut released: impl FnMut(u64, u32)) {
         let mut i = 0;
         while i < self.held.len() {
             let seq = self.held[i];
@@ -299,6 +325,7 @@ impl WakeFabric {
                 self.entry_mut(moved).pos = i as u32;
             }
             self.push_ready(seq);
+            released(seq, self.entry(seq).tag);
         }
     }
 
@@ -370,29 +397,19 @@ impl WakeFabric {
         }
     }
 
-    /// Event-horizon helper: `None` when any resident μop requests
-    /// select this cycle (so the scheduler is not quiesced), otherwise
-    /// the earliest cycle a resident could become issuable
-    /// (`u64::MAX` when every resident waits on an unscheduled producer
-    /// or an MDP hold). Level-exact: held entries are re-checked
-    /// against `ctx.held`, so a hold released this cycle reports
-    /// `None` even before the next [`WakeFabric::poll`].
+    /// Quiesce helper for [`Scheduler::next_event_cycle`](crate::Scheduler::next_event_cycle):
+    /// `None` when a resident requests select this cycle — an entry is
+    /// `Ready`, or a `Held` entry's MDP hold is already released (level-
+    /// visible before the next [`WakeFabric::poll`]) — otherwise
+    /// `Some(u64::MAX)`. A `Waiting` entry reports no horizon of its own:
+    /// it can only wake on an `on_complete` edge, and the pipeline bounds
+    /// every skip by its earliest queued completion. O(held), not
+    /// O(window).
     pub fn min_wake(&self, ctx: &ReadyCtx<'_>) -> Option<u64> {
-        let mut horizon = u64::MAX;
-        for (i, slot) in self.slab.iter().enumerate() {
-            let Some(e) = slot else { continue };
-            let seq = self.base + i as u64;
-            let wake = if e.mdp && ctx.held.contains(seq) {
-                u64::MAX
-            } else {
-                ctx.scb.srcs_ready_cycle(&e.srcs)
-            };
-            if wake <= ctx.cycle {
-                return None;
-            }
-            horizon = horizon.min(wake);
+        if !self.ready.is_empty() || self.held.iter().any(|&seq| !ctx.held.contains(seq)) {
+            return None;
         }
-        Some(horizon)
+        Some(u64::MAX)
     }
 
     /// The shared single-pass select/port-claim loop: one pass over the
@@ -702,19 +719,51 @@ mod tests {
             held: &r.held,
         };
         assert_eq!(r.f.min_wake(&ctx), Some(u64::MAX), "unscheduled producer");
+        // A scheduled producer adds no horizon: the waiter wakes on the
+        // completion edge, which the pipeline's event queue already bounds.
         r.scb.set_ready_at(PhysReg(10), 12);
         let ctx = ReadyCtx {
             cycle: 3,
             scb: &r.scb,
             held: &r.held,
         };
-        assert_eq!(r.f.min_wake(&ctx), Some(12));
+        assert_eq!(r.f.min_wake(&ctx), Some(u64::MAX));
+        r.f.on_complete(PhysReg(10));
         let ctx = ReadyCtx {
             cycle: 12,
             scb: &r.scb,
             held: &r.held,
         };
         assert_eq!(r.f.min_wake(&ctx), None, "ready resident requests select");
+    }
+
+    #[test]
+    fn edge_callbacks_report_tag_and_new_state() {
+        let mut r = Rig::new();
+        r.scb.allocate(PhysReg(10));
+        r.insert(&op(1, 0, [Some(10), None]), 0);
+        let mut ld = op(2, 1, [Some(10), None]);
+        ld.mdp_wait = Some(1);
+        r.held.insert(2);
+        r.insert(&ld, 0);
+        r.f.set_tag(2, 9);
+        let mut woke = Vec::new();
+        r.f.on_complete_with(PhysReg(10), |seq, tag, st| woke.push((seq, tag, st)));
+        woke.sort_unstable_by_key(|w| w.0);
+        assert_eq!(
+            woke,
+            vec![(1, 0, WakeState::Ready), (2, 9, WakeState::Held)]
+        );
+        r.held.remove(2);
+        let ctx = ReadyCtx {
+            cycle: 1,
+            scb: &r.scb,
+            held: &r.held,
+        };
+        let mut released = Vec::new();
+        r.f.poll_with(&ctx, |seq, tag| released.push((seq, tag)));
+        assert_eq!(released, vec![(2, 9)]);
+        assert_eq!(r.f.state(2), WakeState::Ready);
     }
 
     #[test]

@@ -145,6 +145,15 @@ pub trait Scheduler {
     ///   [`Scheduler::note_idle_cycles`] must replicate exactly.
     /// * Cascaded designs (CASINO, Ballerino) must first drain their
     ///   bounded inter-queue movement before reporting quiescence.
+    /// * Completion edges need no horizon. The core never skips past its
+    ///   earliest queued completion, and every scoreboard ready time is
+    ///   one, so a resident that can only become issuable (or change its
+    ///   recorded state) on an [`Scheduler::on_complete`] edge adds
+    ///   nothing to `t`. Only wakes that come with time alone must bound
+    ///   `t`: Ballerino's S-IQ far blocker sliding inside its speculation
+    ///   horizon, FXA's IXU bypass window, DNB's delay release.
+    ///   `Some(u64::MAX)` then reads "nothing changes before the next
+    ///   completion edge".
     fn next_event_cycle(&self, _ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>) -> Option<u64> {
         None
     }

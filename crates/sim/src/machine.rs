@@ -214,9 +214,9 @@ pub fn build_scheduler_point(
     build_scheduler_inner(point, false)
 }
 
-/// `reference = true` freezes the seed's allocation-heavy select/issue
-/// paths inside the OoO and Ballerino schedulers (identical grant
-/// decisions) for the `perf_smoke` throughput A/B.
+/// `reference = true` freezes the seed's allocation-heavy select path
+/// inside the OoO scheduler (identical grant decisions) for the
+/// `perf_smoke` throughput A/B.
 fn build_scheduler_inner(
     point: &DesignPoint,
     reference: bool,
@@ -487,12 +487,8 @@ fn build_scheduler_inner(
                 c.piq_entries = e & !1;
             }
             let fifo = c.siq_entries + c.num_piqs * c.piq_entries;
-            let mut b = Ballerino::new(c);
-            if reference {
-                b = b.with_reference_issue();
-            }
             (
-                Box::new(b),
+                Box::new(Ballerino::new(c)),
                 StructureSizes {
                     cam_entries: 0,
                     fifo_entries: fifo,
