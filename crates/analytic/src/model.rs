@@ -19,7 +19,7 @@
 
 use crate::calib::{calib_for, KindCalib};
 use ballerino_isa::{
-    FuKind, HitLevel, OpClass, TraceDag, TraceFeatures, NO_STORE_DEP, NUM_HIT_LEVELS,
+    FuKind, HitLevel, OpClass, TraceDag, TraceFeatures, NO_PRODUCER, NO_STORE_DEP, NUM_HIT_LEVELS,
 };
 use ballerino_sim::{build_scheduler_point, DesignPoint, MachineKind, Width};
 
@@ -231,8 +231,10 @@ fn predict_inner(
         // (b) Dataflow: register producers, plus the youngest aliasing
         // store for loads (the memory-carried edge a store-set MDP would
         // enforce).
-        for p in d.producers.iter().flatten() {
-            t = t.max(finish[*p as usize]);
+        for &p in &d.producers {
+            if p != NO_PRODUCER {
+                t = t.max(finish[p as usize]);
+            }
         }
         if d.class == OpClass::Load {
             let dep = feat.store_dep[i];
@@ -259,9 +261,9 @@ fn predict_inner(
 
         start[i] = t;
         let lat = if d.class == OpClass::Load {
-            d.exec_latency as u64 + level_latency[feat.level[i].index()]
+            d.exec_latency() as u64 + level_latency[feat.level[i].index()]
         } else {
-            d.exec_latency as u64
+            d.exec_latency() as u64
         };
         finish[i] = t + lat;
         commit[i] = if i == 0 {

@@ -214,9 +214,10 @@ impl TraceFeatures {
 
         for (i, op) in trace.ops.iter().enumerate() {
             let d = dag.op(i);
-            f.fu_uops[d.fu.index()] += 1;
-            f.fu_occupancy[d.fu.index()] += if op.class.unpipelined() {
-                d.exec_latency as u64
+            let fu = d.fu().index();
+            f.fu_uops[fu] += 1;
+            f.fu_occupancy[fu] += if op.class.unpipelined() {
+                d.exec_latency() as u64
             } else {
                 1
             };
@@ -292,9 +293,10 @@ impl TraceFeatures {
                 f.level[i] = level;
                 f.level_counts[level.index()] += 1;
 
-                // Store→load dependences through 8-byte granules.
+                // Store→load dependences through 8-byte granules, up to
+                // the access's last byte (sizes are non-zero).
                 let g0 = mem.addr / 8;
-                let g1 = (mem.addr + mem.size as u64 - 1) / 8;
+                let g1 = (mem.addr + u64::from(mem.size.get() - 1)) / 8;
                 if op.class == OpClass::Store {
                     for g in g0..=g1 {
                         granule_writer.insert(g, i as u32);

@@ -30,7 +30,7 @@ pub mod rng;
 pub mod trace;
 pub mod trace_io;
 
-pub use dag::{DagOp, TraceDag};
+pub use dag::{DagOp, TraceDag, NO_PRODUCER};
 pub use features::{HitLevel, MemGeometry, TraceFeatures, NO_STORE_DEP, NUM_HIT_LEVELS};
 pub use op::{BranchInfo, BranchKind, MemInfo, MicroOp, OpClass};
 pub use ports::{FuKind, PortId, PortMap, MAX_PORTS};

@@ -5,6 +5,7 @@
 //! 180 int / 168 fp for the 8-wide configuration).
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// Number of architectural registers per class.
 pub const ARCH_REGS_PER_CLASS: u16 = 32;
@@ -36,7 +37,9 @@ impl fmt::Display for RegClass {
 /// An architectural register name, as carried by trace μops.
 ///
 /// Encoded as a flat index: `0..32` are integer registers, `32..64` are
-/// floating-point registers.
+/// floating-point registers. The index is stored biased by one in a
+/// `NonZeroU8`, so `Option<ArchReg>` is a single byte and a μop's three
+/// register slots cost three bytes of trace memory.
 ///
 /// # Examples
 ///
@@ -48,8 +51,8 @@ impl fmt::Display for RegClass {
 /// let f = ArchReg::fp(2);
 /// assert_eq!(f.class(), RegClass::Fp);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ArchReg(u16);
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ArchReg(NonZeroU8);
 
 impl ArchReg {
     /// Creates an integer architectural register.
@@ -62,7 +65,7 @@ impl ArchReg {
             idx < ARCH_REGS_PER_CLASS,
             "int reg index {idx} out of range"
         );
-        ArchReg(idx)
+        ArchReg::encode(idx)
     }
 
     /// Creates a floating-point architectural register.
@@ -72,7 +75,7 @@ impl ArchReg {
     /// Panics if `idx >= 32`.
     pub fn fp(idx: u16) -> Self {
         assert!(idx < ARCH_REGS_PER_CLASS, "fp reg index {idx} out of range");
-        ArchReg(ARCH_REGS_PER_CLASS + idx)
+        ArchReg::encode(ARCH_REGS_PER_CLASS + idx)
     }
 
     /// Creates a register from its flat index (`0..64`).
@@ -82,17 +85,23 @@ impl ArchReg {
     /// Panics if `flat >= NUM_ARCH_REGS`.
     pub fn from_flat(flat: u16) -> Self {
         assert!(flat < NUM_ARCH_REGS, "flat reg index {flat} out of range");
-        ArchReg(flat)
+        ArchReg::encode(flat)
+    }
+
+    /// Stores an in-range flat index biased by one.
+    fn encode(flat: u16) -> Self {
+        ArchReg(NonZeroU8::new(flat as u8 + 1).expect("biased index is non-zero"))
     }
 
     /// Returns the flat index (`0..64`), usable to index RAT tables.
+    #[inline]
     pub fn flat(self) -> u16 {
-        self.0
+        u16::from(self.0.get() - 1)
     }
 
     /// Returns the register class.
     pub fn class(self) -> RegClass {
-        if self.0 < ARCH_REGS_PER_CLASS {
+        if self.flat() < ARCH_REGS_PER_CLASS {
             RegClass::Int
         } else {
             RegClass::Fp
@@ -101,7 +110,13 @@ impl ArchReg {
 
     /// Returns the index within the register's class (`0..32`).
     pub fn index_in_class(self) -> u16 {
-        self.0 % ARCH_REGS_PER_CLASS
+        self.flat() % ARCH_REGS_PER_CLASS
+    }
+}
+
+impl fmt::Debug for ArchReg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ArchReg").field(&self.flat()).finish()
     }
 }
 
@@ -163,6 +178,24 @@ mod tests {
             };
             assert_eq!(r, rebuilt);
         }
+    }
+
+    #[test]
+    fn every_flat_index_round_trips() {
+        let all: Vec<ArchReg> = (0..NUM_ARCH_REGS).map(ArchReg::from_flat).collect();
+        for (i, r) in (0..NUM_ARCH_REGS).zip(&all) {
+            assert_eq!(r.flat(), i);
+            let (class, idx) = if i < ARCH_REGS_PER_CLASS {
+                (RegClass::Int, i)
+            } else {
+                (RegClass::Fp, i - ARCH_REGS_PER_CLASS)
+            };
+            assert_eq!(r.class(), class);
+            assert_eq!(r.index_in_class(), idx);
+            assert_eq!(format!("{r:?}"), format!("ArchReg({i})"));
+        }
+        // Order follows the flat index.
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

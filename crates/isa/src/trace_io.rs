@@ -18,6 +18,7 @@ use crate::op::{BranchInfo, BranchKind, MemInfo, MicroOp, OpClass};
 use crate::regs::{ArchReg, ARCH_REGS_PER_CLASS};
 use crate::trace::Trace;
 use std::fmt::Write as _;
+use std::num::NonZeroU8;
 use std::str::FromStr;
 
 /// Error produced when parsing a text trace.
@@ -161,6 +162,17 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     }
 }
 
+/// Parses a memory operand's size: non-zero, and with the exclusive end
+/// `addr + size` inside a `u64`, so no consumer's range arithmetic can
+/// overflow.
+fn parse_mem(addr: u64, size: &str) -> Result<MemInfo, String> {
+    let size: u8 = size.parse().map_err(|_| format!("bad size {size:?}"))?;
+    let size = NonZeroU8::new(size).ok_or("zero access size")?;
+    addr.checked_add(u64::from(size.get()))
+        .ok_or_else(|| format!("byte range {addr:#x}+{size} ends past u64::MAX"))?;
+    Ok(MemInfo { addr, size })
+}
+
 /// Parses the text format back into a [`Trace`].
 ///
 /// # Errors
@@ -209,9 +221,9 @@ pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
                     .ok_or_else(|| err("load needs a destination".into()))?;
                 let base = parse_reg(next("base")?).map_err(&err)?;
                 let addr = parse_u64(next("addr")?).map_err(&err)?;
-                let size: u8 = next("size")?.parse().map_err(|_| err("bad size".into()))?;
+                let mem = parse_mem(addr, next("size")?).map_err(&err)?;
                 let mut op = MicroOp::load(pc, dst, base, addr);
-                op.mem = Some(MemInfo { addr, size });
+                op.mem = Some(mem);
                 trace.push(op);
             }
             "S" => {
@@ -219,9 +231,9 @@ pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
                 let data = parse_reg(next("data")?).map_err(&err)?;
                 let base = parse_reg(next("base")?).map_err(&err)?;
                 let addr = parse_u64(next("addr")?).map_err(&err)?;
-                let size: u8 = next("size")?.parse().map_err(|_| err("bad size".into()))?;
+                let mem = parse_mem(addr, next("size")?).map_err(&err)?;
                 let mut op = MicroOp::store(pc, data, base, addr);
-                op.mem = Some(MemInfo { addr, size });
+                op.mem = Some(mem);
                 trace.push(op);
             }
             "B" => {
@@ -320,6 +332,30 @@ mod tests {
             assert_eq!(e.line, line, "{text:?}");
             assert!(e.message.contains("bad register"), "{text:?}: {e}");
         }
+    }
+
+    #[test]
+    fn bad_memory_operands_are_errors() {
+        // A zero size would underflow the last-byte bound in feature
+        // extraction; a range past u64::MAX would overflow every
+        // `addr + size`. Both surface as line errors, never a panic.
+        for (text, line, what) in [
+            ("L 0x400 r1 - 0x0 0\n", 1, "zero access size"),
+            (
+                "C 0x0 ialu r1 - -\nS 0x400 r1 - 0xffffffffffffffff 8\n",
+                2,
+                "past u64::MAX",
+            ),
+            ("L 0x0 r1 - 0xfffffffffffffff8 8\n", 1, "past u64::MAX"),
+            ("S 0x0 r1 - 0x0 256\n", 1, "bad size"),
+        ] {
+            let e = from_text(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}");
+            assert!(e.message.contains(what), "{text:?}: {e}");
+        }
+        // The highest range whose end still fits is accepted.
+        let t = from_text("L 0x0 r1 - 0xfffffffffffffff7 8\n").expect("parse");
+        assert_eq!(t.ops[0].mem.unwrap().size.get(), 8);
     }
 
     #[test]

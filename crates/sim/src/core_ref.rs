@@ -311,7 +311,7 @@ impl CoreRef {
                 let m = op.mem.expect("load has mem info");
                 let range = MemRange {
                     addr: m.addr,
-                    size: m.size,
+                    size: m.size.get(),
                 };
                 self.energy.lsq_searches += 1;
                 let fwd = self.sq.forward_source(seq, range);
@@ -335,7 +335,7 @@ impl CoreRef {
                 let m = op.mem.expect("store has mem info");
                 let range = MemRange {
                     addr: m.addr,
-                    size: m.size,
+                    size: m.size.get(),
                 };
                 self.sq.set_addr(seq, range);
                 self.energy.lsq_writes += 1;
