@@ -1,33 +1,20 @@
-//! Dumps per-(machine, workload) cycle counts for the Fig. 11 matrix.
+//! Prints the all-kinds result golden: a header line, then
+//! `<SimCell::key> <digest>` for every registry kind × widths 2/4/8 ×
+//! the suite, N = 5 000, seed 42 (see [`ballerino_bench::golden_text`]).
 //!
-//! Used to verify that performance refactors of the simulator core are
-//! pure: the cycle counts printed here must be byte-identical before and
-//! after any change that claims not to alter simulated behavior.
+//! This is the only way to re-bless `crates/bench/golden/all_kinds.txt`,
+//! which the `golden_all_kinds` test checks:
 //!
-//! Usage: `cycles_dump [N]` (default N = 4000, seed fixed at 42). Set
-//! `BALLERINO_REFERENCE=1` to run the frozen seed-layout reference
-//! pipeline instead — its output must match the default pipeline's.
-
-use ballerino_sim::{run_machine, run_machine_reference, MachineKind, Width};
-use ballerino_workloads::{cached_workload, workload_names};
+//! ```sh
+//! cargo run --release -p ballerino-bench --bin cycles_dump > crates/bench/golden/all_kinds.txt
+//! ```
+//!
+//! Honors `BALLERINO_THREADS`; the output is identical at any thread
+//! count.
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let reference = std::env::var("BALLERINO_REFERENCE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    for kind in MachineKind::FIG11 {
-        for name in workload_names() {
-            let t = cached_workload(name, n, 42);
-            let r = if reference {
-                run_machine_reference(kind, Width::Eight, &t)
-            } else {
-                run_machine(kind, Width::Eight, &t)
-            };
-            println!("{}\t{}\t{}\t{}", kind.label(), name, r.cycles, r.committed);
-        }
-    }
+    print!(
+        "{}",
+        ballerino_bench::golden_text(ballerino_bench::threads())
+    );
 }
