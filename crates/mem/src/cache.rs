@@ -16,7 +16,7 @@
 //! within-set recency *order* — the only thing victim selection ever
 //! reads. The naive mode ([`Cache::new_naive`]) reproduces the seed
 //! implementation's bookkeeping exactly (clock tick on every lookup,
-//! re-stamp on every hit) and is kept as the A/B oracle for
+//! re-stamp on every hit) and is kept as the test reference for
 //! `tests/hierarchy_equiv.rs`.
 
 use crate::config::CacheConfig;
@@ -88,8 +88,10 @@ impl Cache {
         Self::with_mode(cfg, false)
     }
 
-    /// Builds an empty cache that scans and stamps exactly like the seed
-    /// implementation (the A/B oracle for the fast lookup path).
+    /// Builds the test reference: an empty cache that scans and stamps
+    /// exactly like the seed implementation. Only the naive
+    /// [`Hierarchy::with_naive_lookup`](crate::Hierarchy::with_naive_lookup)
+    /// and the equivalence tests build it.
     pub fn new_naive(cfg: CacheConfig) -> Self {
         Self::with_mode(cfg, true)
     }

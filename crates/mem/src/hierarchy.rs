@@ -14,8 +14,8 @@
 //! thereby invalidates every memoized entry at once. A filter hit replays
 //! the exact bookkeeping a normal L1 hit would have performed (hit
 //! counter, MRU recency), so results are bit-identical with the filter on
-//! or off — `tests/hierarchy_equiv.rs` pins this against the naive path
-//! selected by [`Hierarchy::with_naive_lookup`] or `BALLERINO_MEM_NAIVE`.
+//! or off — `tests/hierarchy_equiv.rs` pins this against the naive test
+//! reference built by [`Hierarchy::with_naive_lookup`].
 
 use crate::cache::{Cache, Lookup, SlotLookup};
 use crate::config::MemConfig;
@@ -145,24 +145,18 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds an empty hierarchy from a configuration. The fast lookup
-    /// path is used unless the `BALLERINO_MEM_NAIVE` environment variable
-    /// is set (the A/B knob; results are identical either way).
+    /// Builds an empty hierarchy from a configuration, on the fast
+    /// lookup path (MRU hits, line filter).
     pub fn new(cfg: &MemConfig) -> Self {
-        Self::with_mode(cfg, ballerino_isa::env_flag("BALLERINO_MEM_NAIVE"))
+        Self::with_mode(cfg, false)
     }
 
-    /// Builds a hierarchy on the frozen seed-exact lookup path (full set
-    /// scans, per-touch LRU stamping, no line filter) regardless of the
-    /// environment — the A/B oracle side of `tests/hierarchy_equiv.rs`.
+    /// Builds the test reference: a hierarchy on the frozen seed-exact
+    /// lookup path (full set scans, per-touch LRU stamping, no line
+    /// filter). `tests/hierarchy_equiv.rs` checks [`Hierarchy::new`]
+    /// against it; no simulated machine uses it.
     pub fn with_naive_lookup(cfg: &MemConfig) -> Self {
         Self::with_mode(cfg, true)
-    }
-
-    /// Builds a hierarchy on the fast lookup path (MRU hits, line filter)
-    /// regardless of the environment.
-    pub fn with_fast_lookup(cfg: &MemConfig) -> Self {
-        Self::with_mode(cfg, false)
     }
 
     fn with_mode(cfg: &MemConfig, naive: bool) -> Self {
@@ -494,7 +488,7 @@ mod tests {
 
     #[test]
     fn filter_retouch_matches_first_hit_timing() {
-        let mut h = Hierarchy::with_fast_lookup(&small_cfg());
+        let mut h = Hierarchy::new(&small_cfg());
         h.warm(0x2000);
         let (d1, l1) = h.access(0x2000, 0, 10, AccessKind::Load); // memoizes
         let (d2, l2) = h.access(0x2000, 0, 20, AccessKind::Load); // filter hit
@@ -506,7 +500,7 @@ mod tests {
 
     #[test]
     fn filter_entries_die_on_any_l1d_fill() {
-        let mut h = Hierarchy::with_fast_lookup(&small_cfg());
+        let mut h = Hierarchy::new(&small_cfg());
         h.warm(0x2000);
         let _ = h.access(0x2000, 0, 10, AccessKind::Load); // memoizes
         h.l1d.fill(crate::line_of(0x9000), 50); // bumps generation
@@ -520,7 +514,7 @@ mod tests {
     fn naive_lookup_knob_reports_mode() {
         let cfg = small_cfg();
         assert!(Hierarchy::with_naive_lookup(&cfg).is_naive());
-        assert!(!Hierarchy::with_fast_lookup(&cfg).is_naive());
+        assert!(!Hierarchy::new(&cfg).is_naive());
     }
 
     /// The memoized fill horizon must answer monotonic queries exactly

@@ -19,9 +19,9 @@
 //! completion cycle the observed delay folds into an exponential moving
 //! average. No memory-level profiling, no static tables.
 //!
-//! `BALLERINO_BROADCAST_WAKEUP=1` (or [`Ldt::with_broadcast_wakeup`])
-//! keeps a legacy O(window) scan decision path for A/B debugging,
-//! exactly like the unified [`OooIq`](crate::ooo::OooIq).
+//! [`Ldt::with_broadcast_wakeup`] keeps a legacy O(window) scan decision
+//! path as a test reference, exactly like the unified
+//! [`OooIq`](crate::ooo::OooIq).
 
 use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
@@ -129,8 +129,8 @@ pub struct Ldt {
     /// cycle a load issues, so the queue fully drains at the next
     /// scheduler activity.
     inflight: VecDeque<(PhysReg, u64)>,
-    /// A/B knob: decide issue/quiesce from the legacy O(window) scan
-    /// instead of the fabric (`BALLERINO_BROADCAST_WAKEUP=1`).
+    /// Test reference: decide issue/quiesce from the legacy O(window)
+    /// scan instead of the fabric.
     broadcast_wakeup: bool,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
@@ -141,11 +141,9 @@ pub struct Ldt {
 const INITIAL_TRACKED_DELAY: u64 = 4;
 
 impl Ldt {
-    /// Builds an empty IQ. Honours the `BALLERINO_BROADCAST_WAKEUP=1`
-    /// environment knob (see [`Ldt::with_broadcast_wakeup`]).
+    /// Builds an empty IQ.
     pub fn new(cfg: LdtConfig) -> Self {
         assert!(cfg.entries <= MAX_SLOTS, "LDT window exceeds tag encoding");
-        let broadcast_wakeup = ballerino_isa::env_flag("BALLERINO_BROADCAST_WAKEUP");
         let slots = vec![None; cfg.entries];
         let tags = vec![0; cfg.entries];
         let free_slots = (0..cfg.entries).map(Reverse).collect();
@@ -160,15 +158,16 @@ impl Ldt {
             dt,
             tracked_delay: INITIAL_TRACKED_DELAY,
             inflight: VecDeque::new(),
-            broadcast_wakeup,
+            broadcast_wakeup: false,
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
         }
     }
 
-    /// Keeps the legacy broadcast-scan decision path (the fabric is
-    /// still maintained, just not consulted) for A/B debugging; the env
-    /// knob `BALLERINO_BROADCAST_WAKEUP=1` sets the same flag.
+    /// Builds the test reference: the legacy broadcast-scan decision
+    /// path (the fabric is still maintained, just not consulted).
+    /// `tests/sched_props.rs` checks the fabric path against it; no
+    /// shipped machine uses it.
     pub fn with_broadcast_wakeup(mut self) -> Self {
         self.broadcast_wakeup = true;
         self
@@ -214,7 +213,7 @@ impl Ldt {
         self.fabric.remove(u.seq);
     }
 
-    /// Single-pass select over all slots (the legacy A/B path):
+    /// Single-pass select over all slots (the legacy scan path):
     /// identical grant decisions to the fabric's delay-sorted select,
     /// derived from a full window scan. Priority is the stored tag —
     /// lowest predicted delay first, slot index breaking ties.
@@ -390,7 +389,7 @@ impl Scheduler for Ldt {
             return None; // dispatch would be accepted this cycle
         }
         if self.broadcast_wakeup {
-            // Legacy O(window) quiesce scan (A/B knob path).
+            // Legacy O(window) quiesce scan (the test reference).
             let mut horizon = u64::MAX;
             for u in self.slots.iter().flatten() {
                 let wake = ctx.wake_cycle(u);

@@ -11,9 +11,9 @@
 //! the fabric's ready set instead of every slot. The modelled hardware
 //! events (CAM broadcast energy, per-entry head examinations) are charged
 //! exactly as before — the *hardware* still broadcasts; only the
-//! simulator stopped scanning. `BALLERINO_BROADCAST_WAKEUP=1` (or
-//! [`OooIq::with_broadcast_wakeup`]) keeps the legacy O(window) scan
-//! decision path for A/B debugging.
+//! simulator stopped scanning. [`OooIq::with_broadcast_wakeup`] keeps
+//! the legacy O(window) scan decision path as the reference the fabric
+//! is property-tested against (`tests/sched_props.rs`).
 
 use crate::fabric::WakeFabric;
 use crate::ports::PortAlloc;
@@ -56,19 +56,16 @@ pub struct OooIq {
     /// Producer-indexed wakeup state; the entry tag is the slot index
     /// (the select priority).
     fabric: WakeFabric,
-    /// A/B knob: decide issue/quiesce from the legacy O(window) scan
-    /// instead of the fabric (`BALLERINO_BROADCAST_WAKEUP=1`).
+    /// Test reference: decide issue/quiesce from the legacy O(window)
+    /// scan instead of the fabric.
     broadcast_wakeup: bool,
-    reference_select: bool,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
 }
 
 impl OooIq {
-    /// Builds an empty IQ. Honours the `BALLERINO_BROADCAST_WAKEUP=1`
-    /// environment knob (see [`OooIq::with_broadcast_wakeup`]).
+    /// Builds an empty IQ.
     pub fn new(cfg: OooIqConfig) -> Self {
-        let broadcast_wakeup = ballerino_isa::env_flag("BALLERINO_BROADCAST_WAKEUP");
         let slots = vec![None; cfg.entries];
         let free_slots = (0..cfg.entries).map(Reverse).collect();
         OooIq {
@@ -77,33 +74,22 @@ impl OooIq {
             occupancy: 0,
             free_slots,
             fabric: WakeFabric::new(),
-            broadcast_wakeup,
-            reference_select: false,
+            broadcast_wakeup: false,
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
         }
     }
 
-    /// Switches select to the seed's grant loop, which rescans every
-    /// slot once per grant. Identical grant decisions, O(entries ×
-    /// width) instead of O(entries) per cycle; kept for the `perf_smoke`
-    /// reference baseline.
-    pub fn with_reference_select(mut self) -> Self {
-        self.reference_select = true;
-        self
-    }
-
-    /// Keeps the legacy broadcast-scan decision path (the fabric is
-    /// still maintained, just not consulted) for A/B debugging. The env
-    /// knob `BALLERINO_BROADCAST_WAKEUP=1` sets the same flag; this
-    /// builder exists so tests can flip it without mutating the
-    /// process environment.
+    /// Builds the test reference: the legacy broadcast-scan decision
+    /// path (the fabric is still maintained, just not consulted).
+    /// `tests/sched_props.rs` checks the fabric path against it; no
+    /// shipped machine uses it.
     pub fn with_broadcast_wakeup(mut self) -> Self {
         self.broadcast_wakeup = true;
         self
     }
 
-    /// Single-pass select over all slots (the legacy A/B path): one scan
+    /// Single-pass select over all slots (the legacy scan path): one scan
     /// computes the best requester per port, then grants flow in the
     /// same global priority order the seed's rescan loop produced
     /// (lowest slot, or oldest when configured), so the issued set is
@@ -174,60 +160,6 @@ impl OooIq {
         }
         (any_request, n)
     }
-
-    /// The seed's select loop: rescan all slots once per grant. Fills
-    /// `grants` and returns `(any_request, count)`.
-    fn select_reference(
-        &self,
-        ctx: &ReadyCtx<'_>,
-        ports: &mut PortAlloc<'_>,
-        grants: &mut [usize; MAX_PORTS],
-    ) -> (bool, usize) {
-        let mut any_request = false;
-        let mut n = 0;
-        let mut claimed_ports = [false; MAX_PORTS];
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, s) in self.slots.iter().enumerate() {
-                let Some(u) = s else { continue };
-                if claimed_ports[u.port.index()] {
-                    continue;
-                }
-                if !ctx.is_ready(u) {
-                    continue;
-                }
-                any_request = true;
-                if !ports.can_claim(u.port, u.class) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let bu = self.slots[b].as_ref().expect("occupied");
-                        if self.cfg.oldest_first {
-                            u.seq < bu.seq
-                        } else {
-                            i < b
-                        }
-                    }
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            let u = self.slots[i].as_ref().expect("occupied");
-            let claimed = ports.try_claim(u.port, u.class);
-            debug_assert!(claimed);
-            claimed_ports[u.port.index()] = true;
-            grants[n] = i;
-            n += 1;
-            if ports.remaining() == 0 {
-                break;
-            }
-        }
-        (any_request, n)
-    }
 }
 
 impl Scheduler for OooIq {
@@ -262,16 +194,11 @@ impl Scheduler for OooIq {
         // not the simulator performs the scan.
         self.energy.head_examinations += self.occupancy as u64;
 
-        if self.reference_select || self.broadcast_wakeup {
-            // Legacy level-triggered scan paths (frozen reference and
-            // the A/B knob). The fabric stays maintained so switching
-            // paths mid-run is sound; only the decision source differs.
+        if self.broadcast_wakeup {
+            // Legacy level-triggered scan path (the test reference). The
+            // fabric stays maintained; only the decision source differs.
             let mut grants = [0usize; MAX_PORTS];
-            let (any_request, n) = if self.reference_select {
-                self.select_reference(ctx, ports, &mut grants)
-            } else {
-                self.select_single_pass(ctx, ports, &mut grants)
-            };
+            let (any_request, n) = self.select_single_pass(ctx, ports, &mut grants);
             if any_request {
                 // Every port's prefix-sum circuit spans all IQ entries
                 // (Fig. 2).
@@ -350,8 +277,8 @@ impl Scheduler for OooIq {
         if pending.is_some() && self.occupancy < self.cfg.entries {
             return None; // dispatch would be accepted this cycle
         }
-        if self.reference_select || self.broadcast_wakeup {
-            // Legacy O(window) quiesce scan (A/B knob path).
+        if self.broadcast_wakeup {
+            // Legacy O(window) quiesce scan (the test reference).
             let mut horizon = u64::MAX;
             for u in self.slots.iter().flatten() {
                 let wake = ctx.wake_cycle(u);

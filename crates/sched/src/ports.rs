@@ -161,21 +161,6 @@ impl PortArbiter {
         best
     }
 
-    /// The seed's assignment path, frozen for the `perf_smoke` reference
-    /// baseline: recomputes the capable-port list (a fresh `Vec`) on
-    /// every call instead of using the precomputed `by_fu` table. Picks
-    /// the same port as [`PortArbiter::assign`].
-    pub fn assign_reference(&mut self, class: OpClass) -> PortId {
-        let best = self
-            .map
-            .ports_for(class)
-            .into_iter()
-            .min_by_key(|p| self.inflight[p.index()])
-            .expect("PortMap::new guarantees every class has a port");
-        self.inflight[best.index()] += 1;
-        best
-    }
-
     /// Notes that a μop assigned to `port` has issued (or was squashed).
     pub fn release(&mut self, port: PortId) {
         let c = &mut self.inflight[port.index()];

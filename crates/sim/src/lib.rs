@@ -25,7 +25,6 @@
 
 pub mod config;
 pub mod core;
-pub mod core_ref;
 pub mod machine;
 pub mod slab;
 pub mod stats;
@@ -33,8 +32,7 @@ pub mod stats;
 pub use crate::core::Core;
 pub use config::{CoreConfig, Width};
 pub use machine::{
-    build_scheduler, build_scheduler_point, run_machine, run_machine_reference, run_point,
-    DesignPoint, MachineKind,
+    build_scheduler, build_scheduler_point, run_machine, run_point, DesignPoint, MachineKind,
 };
 pub use slab::SeqSlab;
 pub use stats::{SimResult, TimingBreakdown, TimingClass};

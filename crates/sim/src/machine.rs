@@ -195,7 +195,7 @@ pub fn build_scheduler(
     kind: MachineKind,
     width: Width,
 ) -> (CoreConfig, Box<dyn Scheduler>, StructureSizes) {
-    build_scheduler_inner(&DesignPoint::new(kind, width), false)
+    build_scheduler_point(&DesignPoint::new(kind, width))
 }
 
 /// Builds the core configuration, scheduler and energy structure sizes
@@ -210,16 +210,6 @@ pub fn build_scheduler(
 /// any budget ≥ 16 builds a working machine.
 pub fn build_scheduler_point(
     point: &DesignPoint,
-) -> (CoreConfig, Box<dyn Scheduler>, StructureSizes) {
-    build_scheduler_inner(point, false)
-}
-
-/// `reference = true` freezes the seed's allocation-heavy select path
-/// inside the OoO scheduler (identical grant decisions) for the
-/// `perf_smoke` throughput A/B.
-fn build_scheduler_inner(
-    point: &DesignPoint,
-    reference: bool,
 ) -> (CoreConfig, Box<dyn Scheduler>, StructureSizes) {
     let (kind, width) = (point.kind, point.width);
     let mut cfg = match kind {
@@ -264,40 +254,19 @@ fn build_scheduler_inner(
                 ..common_sizes
             },
         ),
-        MachineKind::OutOfOrder | MachineKind::OutOfOrderNoMdp => {
-            let mut iq = OooIq::new(OooIqConfig {
+        MachineKind::OutOfOrder
+        | MachineKind::OutOfOrderNoMdp
+        | MachineKind::OutOfOrderOldestFirst => (
+            Box::new(OooIq::new(OooIqConfig {
                 entries,
-                oldest_first: false,
-            });
-            if reference {
-                iq = iq.with_reference_select();
-            }
-            (
-                Box::new(iq),
-                StructureSizes {
-                    cam_entries: entries,
-                    fifo_entries: 0,
-                    ..common_sizes
-                },
-            )
-        }
-        MachineKind::OutOfOrderOldestFirst => {
-            let mut iq = OooIq::new(OooIqConfig {
-                entries,
-                oldest_first: true,
-            });
-            if reference {
-                iq = iq.with_reference_select();
-            }
-            (
-                Box::new(iq),
-                StructureSizes {
-                    cam_entries: entries,
-                    fifo_entries: 0,
-                    ..common_sizes
-                },
-            )
-        }
+                oldest_first: kind == MachineKind::OutOfOrderOldestFirst,
+            })),
+            StructureSizes {
+                cam_entries: entries,
+                fifo_entries: 0,
+                ..common_sizes
+            },
+        ),
         MachineKind::Ces | MachineKind::CesMda => {
             let (n, e) = ces_piqs(width);
             let e = point.iq_entries.map(|t| split_budget(t, n, 4)).unwrap_or(e);
@@ -505,15 +474,6 @@ fn build_scheduler_inner(
 pub fn run_machine(kind: MachineKind, width: Width, trace: &Trace) -> SimResult {
     let (cfg, sched, sizes) = build_scheduler(kind, width);
     Core::new(cfg, sched, sizes).run(trace)
-}
-
-/// Like [`run_machine`], but on the seed-layout
-/// [`CoreRef`](crate::core_ref::CoreRef) reference pipeline. Must report
-/// the same cycles as [`run_machine`] on every input; exists for the
-/// `perf_smoke` equivalence + throughput A/B.
-pub fn run_machine_reference(kind: MachineKind, width: Width, trace: &Trace) -> SimResult {
-    let (cfg, sched, sizes) = build_scheduler_inner(&DesignPoint::new(kind, width), true);
-    crate::core_ref::CoreRef::new(cfg, sched, sizes).run(trace)
 }
 
 /// Builds and runs one [`DesignPoint`] over a trace. This is the sweep
