@@ -6,9 +6,9 @@ use crate::board::{bits, piq_tag, HeadBoard, HeadCounts, MAX_PIQS};
 use crate::piq::{PartId, Piq};
 use ballerino_isa::{PhysReg, MAX_PORTS};
 use ballerino_sched::{
-    DelayTable, DispatchOutcome, HeadState, HeadStateStats, IssueBreakdown, LocTable, PortAlloc,
-    ReadyCtx, SchedEnergyEvents, SchedUop, Scheduler, StallReason, SteerEvent, SteerStats,
-    WakeFabric, WakeState,
+    DispatchOutcome, HeadState, HeadStateStats, IssueBreakdown, LoadDelayTracker, LocTable,
+    PortAlloc, ReadyCtx, SchedEnergyEvents, SchedUop, Scheduler, StallReason, SteerEvent,
+    SteerStats, WakeFabric, WakeState,
 };
 use std::collections::VecDeque;
 
@@ -155,9 +155,14 @@ fn decode_loc(loc: u16) -> (usize, PartId) {
     ((loc / 2) as usize, PartId((loc % 2) as u8))
 }
 
-/// Initial load-delay estimate before any observation (LDT mode;
-/// matches `ballerino_sched::ldt`).
-const INITIAL_TRACKED_DELAY: u64 = 4;
+/// Where a new dependence head can go.
+#[derive(Debug, Clone, Copy)]
+enum Alloc {
+    /// An empty P-IQ, or an empty partition of a shared one.
+    Free(usize, PartId),
+    /// P-IQ `k`, once sharing is activated on it (Step 3).
+    Share(usize),
+}
 
 /// The widest S-IQ scheduling window: the issue path walks it with
 /// fixed 32-slot buffers and a `u32` remove mask.
@@ -217,13 +222,9 @@ pub struct Ballerino {
     /// P-SCB producer-location extension.
     loc: LocTable,
     lfst_steer: Vec<Option<LfstSteer>>,
-    /// Predicted-ready-cycle table for LDT steering (only mutated when
-    /// `cfg.ldt_steering`; its access counters fold into the P-SCB's).
-    dt: DelayTable,
-    /// Running load-delay estimate (LDT mode).
-    tracked_delay: u64,
-    /// Issued loads awaiting delay observation (LDT mode).
-    inflight: VecDeque<(PhysReg, u64)>,
+    /// The load-delay tracker behind LDT steering (present when
+    /// `cfg.ldt_steering`; its charges fold into the P-SCB's).
+    ldt: Option<LoadDelayTracker>,
     energy: SchedEnergyEvents,
     steer: SteerStats,
     heads: HeadStateStats,
@@ -264,7 +265,9 @@ impl Ballerino {
             .collect();
         let loc = LocTable::new(cfg.num_phys_regs);
         let lfst_steer = vec![None; cfg.num_ssids];
-        let dt = DelayTable::new(cfg.num_phys_regs);
+        let ldt = cfg
+            .ldt_steering
+            .then(|| LoadDelayTracker::new(cfg.num_phys_regs));
         let mut name = format!("ballerino-{}", cfg.num_piqs + 1);
         if cfg.ldt_steering {
             name.push_str("-ldt");
@@ -281,9 +284,7 @@ impl Ballerino {
             siq: VecDeque::new(),
             loc,
             lfst_steer,
-            dt,
-            tracked_delay: INITIAL_TRACKED_DELAY,
-            inflight: VecDeque::new(),
+            ldt,
             energy: SchedEnergyEvents::default(),
             steer: SteerStats::default(),
             heads: HeadStateStats::default(),
@@ -373,7 +374,9 @@ impl Ballerino {
         self.energy.queue_reads += 1;
         self.breakdown.from_piq += 1;
         self.release_store_lfst(&u);
-        self.note_ldt_issue(&u, ctx.cycle);
+        if let Some(t) = &mut self.ldt {
+            t.note_issue(&u, ctx.cycle);
+        }
         just_issued.note(&u);
         out.push(u.seq);
         true
@@ -432,14 +435,14 @@ impl Ballerino {
     /// an unordered FIFO lets the globally oldest unissued μop sit behind
     /// younger entries whose producers wait behind it in another queue
     /// (a cross-queue dependence cycle that live-locks the machine).
-    fn ldt_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId)> {
-        if !self.cfg.ldt_steering || !(uop.is_load() || uop.is_store()) {
+    ///
+    /// A pure lookup: `steer` charges the delay-table reads.
+    fn ldt_target(&self, uop: &SchedUop) -> Option<(usize, PartId)> {
+        if !(uop.is_load() || uop.is_store()) {
             return None;
         }
-        let mut pred = 0u64;
-        for src in uop.srcs.iter().flatten() {
-            pred = pred.max(self.dt.predicted_ready(*src));
-        }
+        let t = self.ldt.as_ref()?;
+        let pred = t.source_prediction(uop);
         let mut best: Option<(u64, usize, PartId)> = None;
         for (k, q) in self.piqs.iter().enumerate() {
             for part in [PartId(0), PartId(1)] {
@@ -451,7 +454,7 @@ impl Ballerino {
                     continue;
                 }
                 let Some(d) = tail.dst else { continue };
-                let tp = self.dt.peek(d);
+                let tp = t.predicted(d);
                 if tp == 0 || tp > pred {
                     continue;
                 }
@@ -465,96 +468,42 @@ impl Ballerino {
         best.map(|(_, k, p)| (k, p))
     }
 
-    /// Read-only replica of a successful `ldt_target`.
-    fn ldt_would_target(&self, uop: &SchedUop) -> bool {
-        if !self.cfg.ldt_steering || !(uop.is_load() || uop.is_store()) {
-            return false;
-        }
-        let mut pred = 0u64;
-        for src in uop.srcs.iter().flatten() {
-            pred = pred.max(self.dt.peek(*src));
-        }
-        self.piqs.iter().any(|q| {
-            [PartId(0), PartId(1)].into_iter().any(|part| {
-                q.can_push(part)
-                    && q.back(part)
-                        .filter(|tail| tail.seq < uop.seq)
-                        .and_then(|tail| tail.dst)
-                        .map(|d| {
-                            let tp = self.dt.peek(d);
-                            tp != 0 && tp <= pred
-                        })
-                        .unwrap_or(false)
-            })
-        })
+    /// The load-delay tracker (LDT mode; tests/diagnostics).
+    pub fn load_delay_tracker(&self) -> Option<&LoadDelayTracker> {
+        self.ldt.as_ref()
     }
 
-    /// Queues a just-issued load for delay observation (LDT mode).
-    fn note_ldt_issue(&mut self, u: &SchedUop, cycle: u64) {
-        if self.cfg.ldt_steering && u.is_load() {
-            if let Some(d) = u.dst {
-                self.inflight.push_back((d, cycle));
-            }
-        }
-    }
-
-    /// Folds completed load observations into the running delay
-    /// estimate (LDT mode; see `ballerino_sched::ldt`). The scoreboard
-    /// publishes a load's completion cycle the same cycle it issues, so
-    /// the queue fully drains at the next scheduler activity.
-    fn observe_loads(&mut self, ctx: &ReadyCtx<'_>) {
-        while let Some(&(dst, issued_at)) = self.inflight.front() {
-            self.inflight.pop_front();
-            let rc = ctx.scb.ready_cycle(dst);
-            if rc == u64::MAX {
-                continue; // reallocated before observation; no sample
-            }
-            let observed = rc.saturating_sub(issued_at);
-            self.tracked_delay = ((3 * self.tracked_delay + observed) / 4).max(1);
-            self.energy.loc_writes += 1; // delay-estimate register update
-        }
-    }
-
-    /// Current load-delay estimate (LDT mode; tests/diagnostics).
-    pub fn tracked_delay(&self) -> u64 {
-        self.tracked_delay
-    }
-
-    /// MDA steering target (§III-B): the partition whose tail is the
-    /// μop's predicted producer store.
-    fn mda_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId)> {
+    /// The LFST-steer entry a memory μop probes under MDA steering; the
+    /// probe charges one table read whenever an entry is present.
+    fn lfst_probe(&self, uop: &SchedUop) -> Option<LfstSteer> {
         if !self.cfg.mda_steering || !(uop.is_load() || uop.is_store()) {
             return None;
         }
-        let ssid = uop.ssid?;
-        let e = self.lfst_steer[ssid.0 as usize]?;
-        self.energy.loc_reads += 1;
-        if e.reserved {
-            return None;
-        }
+        self.lfst_steer[uop.ssid?.0 as usize]
+    }
+
+    /// MDA steering target (§III-B): the partition whose tail is the
+    /// μop's predicted producer store, unless another load already
+    /// reserved it. A pure lookup: `steer` charges the probe and makes
+    /// the reservation.
+    fn mda_target(&self, uop: &SchedUop) -> Option<(usize, PartId)> {
+        let e = self.lfst_probe(uop).filter(|e| !e.reserved)?;
         let (k, part) = (e.piq as usize, PartId(e.part));
         let at_tail = self.piqs[k]
             .back(part)
             .map(|b| b.seq == e.store_seq)
             .unwrap_or(false);
-        if at_tail && self.piqs[k].can_push(part) {
-            self.lfst_steer[ssid.0 as usize]
-                .as_mut()
-                .expect("checked")
-                .reserved = true;
-            self.energy.loc_writes += 1;
-            Some((k, part))
-        } else {
-            None
-        }
+        (at_tail && self.piqs[k].can_push(part)).then_some((k, part))
     }
 
     /// R-dependence steering target: the partition holding a producer at
     /// its tail; with two candidates the younger producer's chain wins.
-    fn rdep_target(&mut self, uop: &SchedUop) -> Option<(usize, PartId, PhysReg)> {
+    /// A pure lookup: `steer` charges the P-SCB reads and reserves the
+    /// returned source.
+    fn rdep_target(&self, uop: &SchedUop) -> Option<(usize, PartId, PhysReg)> {
         let mut best: Option<(usize, PartId, PhysReg, u64)> = None;
         for src in uop.srcs.iter().flatten() {
-            let e = self.loc.get(*src);
+            let e = self.loc.peek(*src);
             let Some(enc) = e.iq_index else { continue };
             if e.reserved {
                 continue;
@@ -576,53 +525,78 @@ impl Ballerino {
     }
 
     /// Allocation target for a new dependence head: an empty P-IQ, an
-    /// empty partition of a shared P-IQ, or (Step 3) a freshly shared
-    /// partition of an eligible P-IQ.
-    fn alloc_target(&mut self) -> Option<(usize, PartId)> {
+    /// empty partition of a shared P-IQ, or (Step 3) an eligible P-IQ to
+    /// share. A pure lookup: [`Ballerino::allocate`] activates sharing.
+    fn alloc_target(&self) -> Option<Alloc> {
         if let Some(k) = self
             .piqs
             .iter()
             .position(|q| q.is_empty() && !q.is_shared())
         {
-            return Some((k, PartId(0)));
+            return Some(Alloc::Free(k, PartId(0)));
         }
         for (k, q) in self.piqs.iter().enumerate() {
             if let Some(p) = q.empty_partition() {
-                return Some((k, p));
+                return Some(Alloc::Free(k, p));
             }
         }
         if self.cfg.piq_sharing {
             if let Some(k) = self.piqs.iter().position(|q| q.shareable()) {
-                let p = self.piqs[k].activate_sharing();
-                self.board.set_shared(k, true);
-                self.sharing_activations += 1;
-                return Some((k, p));
+                return Some(Alloc::Share(k));
             }
         }
         None
     }
 
+    /// Takes the allocation target, activating sharing when it asks to.
+    fn allocate(&mut self) -> Option<(usize, PartId)> {
+        match self.alloc_target()? {
+            Alloc::Free(k, part) => Some((k, part)),
+            Alloc::Share(k) => {
+                let part = self.piqs[k].activate_sharing();
+                self.board.set_shared(k, true);
+                self.sharing_activations += 1;
+                Some((k, part))
+            }
+        }
+    }
+
     /// Steers one non-ready μop out of the S-IQ window. Returns whether a
-    /// P-IQ accepted it.
+    /// P-IQ accepted it. Each rule's table reads are charged as it is
+    /// consulted, so a rule that hits spares the later rules' reads.
     fn steer(&mut self, uop: &SchedUop) -> bool {
         self.energy.steer_ops += 1;
+        let n_srcs = uop.srcs.iter().flatten().count() as u64;
+        if let Some(t) = self.ldt.as_mut() {
+            if uop.is_load() || uop.is_store() {
+                t.charge_reads(n_srcs);
+            }
+        }
         if let Some((k, part)) = self.ldt_target(uop) {
             self.steer.record(SteerEvent::SteerDc);
             self.push_tracked(k, part, *uop);
             return true;
         }
+        if self.lfst_probe(uop).is_some() {
+            self.energy.loc_reads += 1;
+        }
         if let Some((k, part)) = self.mda_target(uop) {
+            let ssid = uop.ssid.expect("an MDA target has a store set");
+            let e = self.lfst_steer[ssid.0 as usize].as_mut().expect("probed");
+            e.reserved = true;
+            self.energy.loc_writes += 1;
             self.steer.record(SteerEvent::SteerDc);
             self.push_tracked(k, part, *uop);
             return true;
         }
+        self.loc.reads += n_srcs;
         if let Some((k, part, src)) = self.rdep_target(uop) {
             self.loc.reserve(src);
             self.steer.record(SteerEvent::SteerDc);
             self.push_tracked(k, part, *uop);
             return true;
         }
-        if let Some((k, part)) = self.alloc_target() {
+        if let Some((k, part)) = self.allocate() {
             let shared = self.piqs[k].is_shared();
             self.steer.record(if shared {
                 SteerEvent::SteerShared
@@ -635,69 +609,13 @@ impl Ballerino {
         false
     }
 
-    /// Read-only replica of `mda_target`'s table-read charge condition:
-    /// the LFST-steer read is only counted once an entry is present.
-    fn mda_probe_charges(&self, uop: &SchedUop) -> bool {
-        self.cfg.mda_steering
-            && (uop.is_load() || uop.is_store())
-            && uop
-                .ssid
-                .map(|s| self.lfst_steer[s.0 as usize].is_some())
-                .unwrap_or(false)
-    }
-
-    /// Read-only replica of a successful `mda_target`.
-    fn mda_would_target(&self, uop: &SchedUop) -> bool {
-        if !self.cfg.mda_steering || !(uop.is_load() || uop.is_store()) {
-            return false;
-        }
-        let Some(ssid) = uop.ssid else { return false };
-        let Some(e) = self.lfst_steer[ssid.0 as usize] else {
-            return false;
-        };
-        if e.reserved {
-            return false;
-        }
-        let (k, part) = (e.piq as usize, PartId(e.part));
-        self.piqs[k]
-            .back(part)
-            .map(|b| b.seq == e.store_seq)
-            .unwrap_or(false)
-            && self.piqs[k].can_push(part)
-    }
-
-    /// Read-only replica of a successful `rdep_target`.
-    fn rdep_would_target(&self, uop: &SchedUop) -> bool {
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            let Some(enc) = e.iq_index else { continue };
-            if e.reserved {
-                continue;
-            }
-            let (k, part) = decode_loc(enc);
-            if self.piqs[k].can_push(part) && self.piqs[k].back(part).is_some() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Read-only replica of a successful `alloc_target` (including a
-    /// Step-3 sharing activation).
-    fn alloc_would_target(&self) -> bool {
-        self.piqs
-            .iter()
-            .any(|q| (q.is_empty() && !q.is_shared()) || q.empty_partition().is_some())
-            || (self.cfg.piq_sharing && self.piqs.iter().any(|q| q.shareable()))
-    }
-
-    /// Whether `steer` would move `uop` into a P-IQ, without mutating
-    /// any steering state.
+    /// Whether `steer` would move `uop` into a P-IQ: any of its rules
+    /// has a target.
     fn would_steer(&self, uop: &SchedUop) -> bool {
-        self.ldt_would_target(uop)
-            || self.mda_would_target(uop)
-            || self.rdep_would_target(uop)
-            || self.alloc_would_target()
+        self.ldt_target(uop).is_some()
+            || self.mda_target(uop).is_some()
+            || self.rdep_target(uop).is_some()
+            || self.alloc_target().is_some()
     }
 
     /// Walks the S-IQ window exactly as an issue-free `issue` call would,
@@ -785,22 +703,11 @@ impl Scheduler for Ballerino {
         if self.siq.len() >= self.cfg.siq_entries {
             return DispatchOutcome::Stall(StallReason::Full);
         }
-        if self.cfg.ldt_steering {
+        if let Some(t) = &mut self.ldt {
             // Annotate the dependence chain with predicted ready cycles
             // (after the full-check: refused dispatches touch nothing,
             // which the quiesce replay relies on).
-            let mut pred = ctx.cycle;
-            for src in uop.srcs.iter().flatten() {
-                pred = pred.max(self.dt.predicted_ready(*src));
-            }
-            if let Some(d) = uop.dst {
-                let lat = if uop.is_load() {
-                    self.tracked_delay
-                } else {
-                    uop.class.exec_latency() as u64
-                };
-                self.dt.set_predicted(d, pred + lat);
-            }
+            t.annotate(&uop, ctx.cycle);
         }
         self.energy.queue_writes += 1;
         self.fabric.insert(&uop, 0, ctx);
@@ -809,8 +716,8 @@ impl Scheduler for Ballerino {
     }
 
     fn issue(&mut self, ctx: &ReadyCtx<'_>, ports: &mut PortAlloc<'_>, out: &mut Vec<u64>) {
-        if self.cfg.ldt_steering {
-            self.observe_loads(ctx);
+        if let Some(t) = &mut self.ldt {
+            t.observe(ctx.scb);
         }
         let board = &mut self.board;
         let piqs = &self.piqs;
@@ -870,7 +777,9 @@ impl Scheduler for Ballerino {
                     self.breakdown.from_siq += 1;
                     self.steer.record(SteerEvent::SpeculativeIssue);
                     self.release_store_lfst(&u);
-                    self.note_ldt_issue(&u, ctx.cycle);
+                    if let Some(t) = &mut self.ldt {
+                        t.note_issue(&u, ctx.cycle);
+                    }
                     just_issued.note(&u);
                     out.push(u.seq);
                     remove_mask |= 1 << i;
@@ -879,7 +788,7 @@ impl Scheduler for Ballerino {
                     // P-IQ head; re-examined there next cycle. Its fabric
                     // entry follows the seq, untouched.
                     self.energy.steer_ops += 1;
-                    if let Some((k, part)) = self.alloc_target() {
+                    if let Some((k, part)) = self.allocate() {
                         let shared = self.piqs[k].is_shared();
                         self.steer.record(if shared {
                             SteerEvent::SteerShared
@@ -941,9 +850,8 @@ impl Scheduler for Ballerino {
 
     fn on_complete(&mut self, dst: PhysReg) {
         self.loc.clear(dst);
-        if self.cfg.ldt_steering {
-            // The value exists: its delay prediction is spent.
-            self.dt.clear(dst);
+        if let Some(t) = &mut self.ldt {
+            t.complete(dst);
         }
         let board = &mut self.board;
         let piqs = &self.piqs;
@@ -963,12 +871,8 @@ impl Scheduler for Ballerino {
         for d in flushed_dests {
             self.loc.clear(*d);
         }
-        if self.cfg.ldt_steering {
-            for d in flushed_dests {
-                self.dt.clear(*d);
-            }
-            // Squashed issued loads must not contribute delay samples.
-            self.inflight.retain(|(d, _)| !flushed_dests.contains(d));
+        if let Some(t) = &mut self.ldt {
+            t.flush(flushed_dests);
         }
         for e in &mut self.lfst_steer {
             if e.map(|s| s.store_seq > seq).unwrap_or(false) {
@@ -987,8 +891,11 @@ impl Scheduler for Ballerino {
 
     fn energy_events(&self) -> SchedEnergyEvents {
         let mut e = self.energy;
-        e.loc_reads += self.loc.reads + self.dt.reads;
-        e.loc_writes += self.loc.writes + self.dt.writes;
+        e.loc_reads += self.loc.reads;
+        e.loc_writes += self.loc.writes;
+        if let Some(t) = &self.ldt {
+            e.add(&t.charges());
+        }
         e
     }
 
@@ -1029,11 +936,11 @@ impl Scheduler for Ballerino {
         if k == 0 {
             return;
         }
-        if self.cfg.ldt_steering {
+        if let Some(t) = &mut self.ldt {
             // The first idle `issue` call would have drained the
             // observation queue; it cannot refill during an idle window,
             // so one drain replicates all k.
-            self.observe_loads(ctx);
+            t.observe(ctx.scb);
         }
         // ---- 1. P-IQ heads: replay examinations, head-state records and
         //         the active-pointer toggles in closed form.
@@ -1053,14 +960,16 @@ impl Scheduler for Ballerino {
                 let b = self.siq[shape.lingerers];
                 self.energy.head_examinations += k;
                 self.energy.steer_ops += k;
-                if self.mda_probe_charges(&b) {
+                if self.lfst_probe(&b).is_some() {
                     self.energy.loc_reads += k;
                 }
                 let n_srcs = b.srcs.iter().flatten().count() as u64;
-                if self.cfg.ldt_steering && (b.is_load() || b.is_store()) {
-                    // The failed `ldt_target` probe re-reads the delay
-                    // table for each source every cycle.
-                    self.dt.reads += k * n_srcs;
+                if let Some(t) = self.ldt.as_mut() {
+                    if b.is_load() || b.is_store() {
+                        // The failed `ldt_target` probe re-reads the
+                        // delay table for each source every cycle.
+                        t.charge_reads(k * n_srcs);
+                    }
                 }
                 self.loc.reads += k * n_srcs;
                 self.steer.record_n(SteerEvent::StallNonReady, k);
@@ -1100,6 +1009,7 @@ mod tests {
     use super::*;
     use ballerino_isa::{OpClass, PortId};
     use ballerino_mem::SsId;
+    use ballerino_sched::ldt::INITIAL_TRACKED_DELAY;
     use ballerino_sched::{FuBusy, HeldSet, Scoreboard};
 
     fn op(seq: u64, dst: Option<u32>, srcs: [Option<u32>; 2]) -> SchedUop {
@@ -1602,7 +1512,10 @@ mod tests {
         // A's actual delay is observed at the next scheduler activity.
         r.scb.set_ready_at(PhysReg(10), 20);
         let _ = r.issue(1);
-        assert_eq!(r.b.tracked_delay(), (3 * INITIAL_TRACKED_DELAY + 20) / 4);
+        assert_eq!(
+            r.b.load_delay_tracker().map(|t| t.estimate()),
+            Some((3 * INITIAL_TRACKED_DELAY + 20) / 4)
+        );
     }
 
     #[test]

@@ -113,47 +113,39 @@ impl Ces {
         self.piqs[piq].push_back(uop);
     }
 
+    /// The LFST-steer entry a memory μop probes under MDA steering; the
+    /// probe charges one table read whenever an entry is present.
+    fn lfst_probe(&self, uop: &SchedUop) -> Option<LfstSteer> {
+        if !self.cfg.mda_steering || !(uop.is_load() || uop.is_store()) {
+            return None;
+        }
+        self.lfst_steer[uop.ssid?.0 as usize]
+    }
+
     /// MDA steering target, if applicable: the P-IQ whose tail is the
-    /// μop's predicted producer store.
-    fn mda_target(&mut self, uop: &SchedUop) -> Option<usize> {
-        if !self.cfg.mda_steering {
-            return None;
-        }
-        let ssid = uop.ssid?;
-        if !(uop.is_load() || uop.is_store()) {
-            return None;
-        }
-        let entry = self.lfst_steer[ssid.0 as usize]?;
-        self.energy.loc_reads += 1;
-        if entry.reserved {
-            return None;
-        }
+    /// μop's predicted producer store, unless another load already
+    /// reserved it. A pure lookup: `try_dispatch` charges the probe and
+    /// makes the reservation.
+    fn mda_target(&self, uop: &SchedUop) -> Option<usize> {
+        let entry = self.lfst_probe(uop).filter(|e| !e.reserved)?;
         let k = entry.piq as usize;
         // The producer store must still sit at the tail of that P-IQ.
-        if self.piqs[k]
+        let at_tail = self.piqs[k]
             .back()
             .map(|b| b.seq == entry.store_seq)
-            .unwrap_or(false)
-            && self.piqs[k].len() < self.cfg.piq_entries
-        {
-            self.lfst_steer[ssid.0 as usize]
-                .as_mut()
-                .expect("checked")
-                .reserved = true;
-            self.energy.loc_writes += 1;
-            Some(k)
-        } else {
-            None
-        }
+            .unwrap_or(false);
+        (at_tail && self.piqs[k].len() < self.cfg.piq_entries).then_some(k)
     }
 
     /// Register-dependence steering target: the P-IQ holding the producer
-    /// of one of the μop's sources at its tail. With two candidates, the
-    /// one holding the *younger* producer wins (relative order, §IV-C).
-    fn rdep_target(&mut self, uop: &SchedUop) -> Option<usize> {
-        let mut best: Option<(usize, u64)> = None;
+    /// of one of the μop's sources at its tail, and that source. With
+    /// two candidates, the one holding the *younger* producer wins
+    /// (relative order, §IV-C). A pure lookup: `try_dispatch` charges the
+    /// P-SCB reads and reserves the source.
+    fn rdep_target(&self, uop: &SchedUop) -> Option<(usize, PhysReg)> {
+        let mut best: Option<(usize, PhysReg, u64)> = None;
         for src in uop.srcs.iter().flatten() {
-            let e = self.loc.get(*src);
+            let e = self.loc.peek(*src);
             let Some(k) = e.iq_index else { continue };
             if e.reserved {
                 continue; // chain split: producer already has a consumer
@@ -163,22 +155,11 @@ impl Ces {
                 continue; // case 3: full target
             }
             let tail_seq = self.piqs[k].back().map(|b| b.seq).unwrap_or(0);
-            if best.map(|(_, s)| tail_seq > s).unwrap_or(true) {
-                best = Some((k, tail_seq));
+            if best.map(|(_, _, s)| tail_seq > s).unwrap_or(true) {
+                best = Some((k, *src, tail_seq));
             }
         }
-        best.map(|(k, _)| k)
-    }
-
-    fn reserve_src_of(&mut self, uop: &SchedUop, piq: usize) {
-        // Mark the producer whose queue we joined as reserved.
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            if e.iq_index == Some(piq as u16) && !e.reserved {
-                self.loc.reserve(*src);
-                break;
-            }
-        }
+        best.map(|(k, src, _)| (k, src))
     }
 
     fn record_store_lfst(&mut self, uop: &SchedUop, piq: usize) {
@@ -194,47 +175,12 @@ impl Ces {
         }
     }
 
-    /// Whether the LFST-steer table would be probed for `uop` (the probe
-    /// charges a `loc_reads` whether or not the steer succeeds).
-    fn mda_probes(&self, uop: &SchedUop) -> bool {
-        self.cfg.mda_steering
-            && (uop.is_load() || uop.is_store())
-            && uop
-                .ssid
-                .map(|ssid| self.lfst_steer[ssid.0 as usize].is_some())
-                .unwrap_or(false)
-    }
-
-    /// Side-effect-free replica of the [`Ces::try_dispatch`] decision:
-    /// would `uop` be accepted this cycle?
+    /// Whether `try_dispatch` would accept `uop` this cycle: any of its
+    /// rules has a target.
     fn would_accept(&self, uop: &SchedUop) -> bool {
-        // MDA steering target available?
-        if self.cfg.mda_steering && (uop.is_load() || uop.is_store()) {
-            if let Some(entry) = uop.ssid.and_then(|s| self.lfst_steer[s.0 as usize]) {
-                if !entry.reserved {
-                    let k = entry.piq as usize;
-                    if self.piqs[k]
-                        .back()
-                        .map(|b| b.seq == entry.store_seq)
-                        .unwrap_or(false)
-                        && self.piqs[k].len() < self.cfg.piq_entries
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        // Register-dependence steering target available?
-        for src in uop.srcs.iter().flatten() {
-            let e = self.loc.peek(*src);
-            if let Some(k) = e.iq_index {
-                if !e.reserved && self.piqs[k as usize].len() < self.cfg.piq_entries {
-                    return true;
-                }
-            }
-        }
-        // An empty P-IQ to allocate?
-        self.piqs.iter().any(|q| q.is_empty())
+        self.mda_target(uop).is_some()
+            || self.rdep_target(uop).is_some()
+            || self.piqs.iter().any(|q| q.is_empty())
     }
 }
 
@@ -248,7 +194,14 @@ impl Scheduler for Ces {
         let ready = ctx.is_ready(&uop);
 
         // MDA steering overrides register dependences (§III-B).
+        if self.lfst_probe(&uop).is_some() {
+            self.energy.loc_reads += 1;
+        }
         if let Some(k) = self.mda_target(&uop) {
+            let ssid = uop.ssid.expect("an MDA target has a store set");
+            let e = self.lfst_steer[ssid.0 as usize].as_mut().expect("probed");
+            e.reserved = true;
+            self.energy.loc_writes += 1;
             self.steer.record(SteerEvent::SteerDc);
             self.record_store_lfst(&uop, k);
             self.push_and_track(k, uop, ctx);
@@ -256,8 +209,9 @@ impl Scheduler for Ces {
         }
 
         // Register-dependence steering.
-        if let Some(k) = self.rdep_target(&uop) {
-            self.reserve_src_of(&uop, k);
+        self.loc.reads += uop.srcs.iter().flatten().count() as u64;
+        if let Some((k, src)) = self.rdep_target(&uop) {
+            self.loc.reserve(src);
             self.steer.record(SteerEvent::SteerDc);
             self.record_store_lfst(&uop, k);
             self.push_and_track(k, uop, ctx);
@@ -436,7 +390,7 @@ impl Scheduler for Ces {
         // logic — LFST probe, one P-SCB read per source, stall record.
         if let Some(p) = pending {
             self.energy.steer_ops += k;
-            if self.mda_probes(p) {
+            if self.lfst_probe(p).is_some() {
                 self.energy.loc_reads += k;
             }
             self.loc.reads += k * p.srcs.iter().flatten().count() as u64;

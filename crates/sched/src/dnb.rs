@@ -14,7 +14,7 @@
 //!   real out-of-order IQ.
 
 use crate::fabric::{WakeFabric, WakeState};
-use crate::ooo::{OooIq, OooIqConfig};
+use crate::ooo::{OooIq, OooIqConfig, SelectPolicy};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
@@ -70,7 +70,7 @@ impl Dnb {
     pub fn new(cfg: DnbConfig) -> Self {
         let ooo = OooIq::new(OooIqConfig {
             entries: cfg.ooo_entries,
-            oldest_first: false,
+            policy: SelectPolicy::LowestSlot,
         });
         Dnb {
             cfg,

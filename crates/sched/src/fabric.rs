@@ -65,9 +65,10 @@ pub enum WakeState {
 
 #[derive(Debug, Clone)]
 struct WakeEntry {
-    /// Scheduler-defined payload tag (the OoO IQ stores its slot index,
-    /// which is its select priority; Ballerino a P-IQ resident's
-    /// location; other FIFO designs leave it 0).
+    /// Scheduler-defined payload tag (the OoO IQ stores its select
+    /// priority: the slot index, above it any predicted delay;
+    /// Ballerino a P-IQ resident's location; other FIFO designs leave
+    /// it 0).
     tag: u32,
     port: PortId,
     class: OpClass,
@@ -205,8 +206,8 @@ impl WakeFabric {
     }
 
     /// Registers a dispatched μop. `tag` is an opaque scheduler payload
-    /// returned by [`WakeFabric::tag_of`] (the OoO IQ stores its slot
-    /// index). Sources not ready at `ctx.cycle` register waiter nodes;
+    /// returned by [`WakeFabric::tag_of`] (the OoO IQ stores its select
+    /// priority). Sources not ready at `ctx.cycle` register waiter nodes;
     /// their completions must arrive via [`WakeFabric::on_complete`].
     pub fn insert(&mut self, uop: &SchedUop, tag: u32, ctx: &ReadyCtx<'_>) {
         // Dispatch is program-ordered in the pipeline, so inserts are

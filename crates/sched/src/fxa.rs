@@ -7,7 +7,7 @@
 //! consumers fed through the IXU bypass — and never occupy the OoO IQ.
 //! Everything else dispatches to the back-end.
 
-use crate::ooo::{OooIq, OooIqConfig};
+use crate::ooo::{OooIq, OooIqConfig, SelectPolicy};
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler};
@@ -54,7 +54,7 @@ impl Fxa {
     pub fn new(cfg: FxaConfig) -> Self {
         let backend = OooIq::new(OooIqConfig {
             entries: cfg.backend_entries,
-            oldest_first: false,
+            policy: SelectPolicy::LowestSlot,
         });
         Fxa {
             cfg,
@@ -73,25 +73,29 @@ impl Fxa {
         )
     }
 
+    /// When the IXU could ever take `uop` — its class runs on the IXU's
+    /// simple FUs and no MDP hold blocks it — the cycle its operands are
+    /// all available; `None` otherwise.
+    fn ixu_operands_at(&self, uop: &SchedUop, ctx: &ReadyCtx<'_>) -> Option<u64> {
+        if !Self::ixu_eligible_class(uop.class) || ctx.held.contains(uop.seq) {
+            return None;
+        }
+        let avail = ctx.scb.srcs_ready_cycle(&uop.srcs);
+        (avail != u64::MAX).then_some(avail)
+    }
+
     /// Whether the μop can execute inside the IXU: operands available by
     /// the time it reaches the IXU's last stage (bypass window), class
     /// executable by the IXU's simple FUs, no MDP hold, and IXU slot free.
     fn ixu_accepts(&mut self, uop: &SchedUop, ctx: &ReadyCtx<'_>) -> bool {
-        if !Self::ixu_eligible_class(uop.class) {
+        let Some(avail) = self.ixu_operands_at(uop, ctx) else {
             return false;
-        }
-        if ctx.held.contains(uop.seq) {
-            return false;
-        }
+        };
         if self.ixu_cycle != ctx.cycle {
             self.ixu_cycle = ctx.cycle;
             self.ixu_used = 0;
         }
-        if self.ixu_used >= self.cfg.ixu_width {
-            return false;
-        }
-        let avail = ctx.scb.srcs_ready_cycle(&uop.srcs);
-        if avail == u64::MAX || avail > ctx.cycle + (self.cfg.ixu_stages - 1) {
+        if self.ixu_used >= self.cfg.ixu_width || avail > ctx.cycle + (self.cfg.ixu_stages - 1) {
             return false;
         }
         self.ixu_used += 1;
@@ -151,21 +155,16 @@ impl Scheduler for Fxa {
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {
         let mut horizon = self.backend.next_event_cycle(ctx, pending)?;
-        if let Some(p) = pending {
-            // Read-only replica of `ixu_accepts`: a fresh cycle always has
-            // IXU slots free, because the lone pending retry is the only
-            // dispatch happening while the frontend is stalled.
-            if Self::ixu_eligible_class(p.class) && !ctx.held.contains(p.seq) {
-                let avail = ctx.scb.srcs_ready_cycle(&p.srcs);
-                if avail != u64::MAX {
-                    if avail <= ctx.cycle + (self.cfg.ixu_stages - 1) {
-                        return None; // IXU would execute it this cycle
-                    }
-                    // The IXU starts accepting once `avail` slides into
-                    // the bypass window.
-                    horizon = horizon.min(avail - (self.cfg.ixu_stages - 1));
-                }
+        // `ixu_accepts` with a free IXU slot: a fresh cycle always has
+        // one, because the lone pending retry is the only dispatch
+        // happening while the frontend is stalled.
+        if let Some(avail) = pending.and_then(|p| self.ixu_operands_at(p, ctx)) {
+            if avail <= ctx.cycle + (self.cfg.ixu_stages - 1) {
+                return None; // IXU would execute it this cycle
             }
+            // The IXU starts accepting once `avail` slides into the
+            // bypass window.
+            horizon = horizon.min(avail - (self.cfg.ixu_stages - 1));
         }
         Some(horizon)
     }

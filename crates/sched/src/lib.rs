@@ -5,8 +5,10 @@
 //!
 //! * [`ino`] — stall-on-use in-order issue queue (the `InO` baseline),
 //! * [`ooo`] — the unified out-of-order IQ: CAM-style wakeup without
-//!   compaction and per-port prefix-sum select, with an optional
-//!   oldest-first select policy (Fig. 2 / §II-A),
+//!   compaction and per-port prefix-sum select (Fig. 2). Its
+//!   [`SelectPolicy`] grants the lowest slot (the `OoO` baseline), the
+//!   oldest μop (§II-A), or the soonest predicted ready (the `LDT`
+//!   extension kind),
 //! * [`ces`] — Complexity-Effective Superscalar clustered P-IQs with
 //!   dependence-based steering \[3\], plus the MDA-steering extension the
 //!   paper evaluates in Fig. 13,
@@ -16,8 +18,9 @@
 //! * [`lsc`] — Load Slice Core \[8\]: a slice-out-of-order extension
 //!   baseline from the paper's related work (§VII),
 //! * [`ldt`] — real-time load-delay tracking (Diavastos & Carlson, see
-//!   PAPERS.md): delay-sorted select driven by a per-register predicted
-//!   ready-cycle table, an extension kind beyond the paper's own set,
+//!   PAPERS.md): the [`LoadDelayTracker`] behind the OoO IQ's
+//!   predicted-ready select and Ballerino-LDT's steering, an extension
+//!   beyond the paper's own set,
 //! * [`fxa`] — front-end execution architecture: an in-order execution
 //!   unit (IXU) filtering ready μops ahead of a half-size OoO IQ \[1\].
 //!
@@ -57,10 +60,10 @@ pub use fabric::{WakeFabric, WakeState};
 pub use fxa::{Fxa, FxaConfig};
 pub use held::HeldSet;
 pub use ino::{InOrderIq, InOrderIqConfig};
-pub use ldt::{DelayTable, Ldt, LdtConfig};
+pub use ldt::{DelayTable, LoadDelayTracker};
 pub use loc::{LocEntry, LocTable};
 pub use lsc::{Lsc, LscConfig};
-pub use ooo::{OooIq, OooIqConfig};
+pub use ooo::{OooIq, OooIqConfig, SelectPolicy};
 pub use ports::{FuBusy, PortAlloc};
 pub use scoreboard::Scoreboard;
 pub use stats::{

@@ -2,9 +2,11 @@
 //!
 //! CAM-style wakeup without compaction (a "random queue": freed slots are
 //! reused in place, so entry position does not encode age) and per-port
-//! prefix-sum select giving priority to the lowest-numbered slot. The
-//! optional *oldest-first* policy (age matrices / compaction, §II-A and
-//! Fig. 11's rightmost bars) grants the oldest ready requester instead.
+//! prefix-sum select. The [`SelectPolicy`] decides which ready requester
+//! a port grants: the lowest-numbered slot (`ooo`), the oldest
+//! (`ooo-oldest`: age matrices / compaction, §II-A and Fig. 11's
+//! rightmost bars), or the soonest predicted ready (`ldt`, the
+//! real-time load-delay-tracking scheduler of [`crate::ldt`]).
 //!
 //! Wakeup and select run through the shared [`WakeFabric`]: completions
 //! touch only the consumers of the completing register, and select walks
@@ -16,6 +18,7 @@
 //! is property-tested against (`tests/sched_props.rs`).
 
 use crate::fabric::WakeFabric;
+use crate::ldt::LoadDelayTracker;
 use crate::ports::PortAlloc;
 use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
@@ -24,21 +27,48 @@ use ballerino_isa::{PhysReg, MAX_PORTS};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Bits of the fabric tag reserved for the slot index; the predicted
+/// delay occupies the bits above. Slot bits make every resident's tag
+/// unique, so select never breaks a priority tie by ready-list order.
+const SLOT_BITS: u32 = 10;
+/// Largest window the predicted-ready tag encoding supports.
+const MAX_SLOTS: usize = 1 << SLOT_BITS;
+/// Mask extracting the slot index from a predicted-ready tag.
+const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+/// Predicted delays saturate here so the tag stays within `u32`.
+const DELAY_CLAMP: u64 = (1 << (32 - SLOT_BITS - 1)) - 1;
+
+/// Which ready requester each port's select grants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SelectPolicy {
+    /// The lowest-numbered slot (`ooo`).
+    LowestSlot,
+    /// The oldest μop (`ooo-oldest`).
+    OldestFirst,
+    /// The soonest predicted ready, lowest slot breaking ties (`ldt`).
+    /// The predictions come from a [`LoadDelayTracker`] over
+    /// `num_phys_regs` registers.
+    PredictedReady {
+        /// Physical registers the delay table covers.
+        num_phys_regs: usize,
+    },
+}
+
 /// Configuration of the out-of-order IQ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OooIqConfig {
-    /// IQ entries (Table II: 96/64/32 by width; 48 in FXA's backend).
+    /// IQ entries (Table II: 96/64/32 by width; 48 in FXA's backend). At
+    /// most 1024 under [`SelectPolicy::PredictedReady`].
     pub entries: usize,
-    /// Grant the oldest ready requester per port instead of the
-    /// lowest-numbered slot.
-    pub oldest_first: bool,
+    /// The select policy.
+    pub policy: SelectPolicy,
 }
 
 impl Default for OooIqConfig {
     fn default() -> Self {
         OooIqConfig {
             entries: 96,
-            oldest_first: false,
+            policy: SelectPolicy::LowestSlot,
         }
     }
 }
@@ -53,9 +83,13 @@ pub struct OooIq {
     /// lowest-numbered free slot (position is the select priority), and
     /// popping a heap beats rescanning the whole slot array.
     free_slots: BinaryHeap<Reverse<usize>>,
-    /// Producer-indexed wakeup state; the entry tag is the slot index
-    /// (the select priority).
+    /// Producer-indexed wakeup state; the entry tag is
+    /// `(predicted delay << SLOT_BITS) | slot`, the select priority. The
+    /// delay is 0 outside [`SelectPolicy::PredictedReady`], so the tag is
+    /// the slot index.
     fabric: WakeFabric,
+    /// The load-delay tracker, under [`SelectPolicy::PredictedReady`].
+    ldt: Option<LoadDelayTracker>,
     /// Test reference: decide issue/quiesce from the legacy O(window)
     /// scan instead of the fabric.
     broadcast_wakeup: bool,
@@ -65,7 +99,22 @@ pub struct OooIq {
 
 impl OooIq {
     /// Builds an empty IQ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`SelectPolicy::PredictedReady`] window exceeds 1024
+    /// entries (the slot bits of its tag encoding).
     pub fn new(cfg: OooIqConfig) -> Self {
+        let ldt = match cfg.policy {
+            SelectPolicy::PredictedReady { num_phys_regs } => {
+                assert!(
+                    cfg.entries <= MAX_SLOTS,
+                    "predicted-ready window exceeds tag encoding"
+                );
+                Some(LoadDelayTracker::new(num_phys_regs))
+            }
+            SelectPolicy::LowestSlot | SelectPolicy::OldestFirst => None,
+        };
         let slots = vec![None; cfg.entries];
         let free_slots = (0..cfg.entries).map(Reverse).collect();
         OooIq {
@@ -74,6 +123,7 @@ impl OooIq {
             occupancy: 0,
             free_slots,
             fabric: WakeFabric::new(),
+            ldt,
             broadcast_wakeup: false,
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
@@ -89,17 +139,43 @@ impl OooIq {
         self
     }
 
+    /// The load-delay tracker (predicted-ready policy only).
+    pub fn load_delay_tracker(&self) -> Option<&LoadDelayTracker> {
+        self.ldt.as_ref()
+    }
+
+    fn oldest_first(&self) -> bool {
+        self.cfg.policy == SelectPolicy::OldestFirst
+    }
+
+    /// The slot a fabric tag names.
+    fn slot_of(&self, tag: u32) -> usize {
+        if self.ldt.is_some() {
+            (tag & SLOT_MASK) as usize
+        } else {
+            tag as usize
+        }
+    }
+
     /// Single-pass select over all slots (the legacy scan path): one scan
-    /// computes the best requester per port, then grants flow in the
-    /// same global priority order the seed's rescan loop produced
-    /// (lowest slot, or oldest when configured), so the issued set is
-    /// identical. Fills `grants` and returns `(any_request, count)`.
+    /// computes the best requester per port, then grants flow in global
+    /// priority order — the lowest fabric tag, or the lowest seq under
+    /// oldest first — so the issued set is the fabric select's. Fills
+    /// `grants` with slot indices and returns `(any_request, count)`.
     fn select_single_pass(
         &self,
         ctx: &ReadyCtx<'_>,
         ports: &mut PortAlloc<'_>,
         grants: &mut [usize; MAX_PORTS],
     ) -> (bool, usize) {
+        let prio = |i: usize| {
+            let u = self.slots[i].as_ref().expect("occupied");
+            if self.oldest_first() {
+                u.seq
+            } else {
+                self.fabric.tag_of(u.seq) as u64
+            }
+        };
         let mut any_request = false;
         let mut best_per_port: [Option<usize>; MAX_PORTS] = [None; MAX_PORTS];
         for (i, s) in self.slots.iter().enumerate() {
@@ -112,18 +188,7 @@ impl OooIq {
                 continue;
             }
             let best = &mut best_per_port[u.port.index()];
-            let better = match *best {
-                None => true,
-                Some(b) => {
-                    let bu = self.slots[b].as_ref().expect("occupied");
-                    if self.cfg.oldest_first {
-                        u.seq < bu.seq
-                    } else {
-                        i < b
-                    }
-                }
-            };
-            if better {
+            if best.is_none_or(|b| prio(i) < prio(b)) {
                 *best = Some(i);
             }
         }
@@ -132,25 +197,14 @@ impl OooIq {
         // port's winner never changes another port's).
         let mut n = 0;
         while ports.remaining() > 0 {
-            let mut best: Option<usize> = None;
-            for cand in best_per_port.iter().flatten() {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        if self.cfg.oldest_first {
-                            let cu = self.slots[*cand].as_ref().expect("occupied");
-                            let bu = self.slots[b].as_ref().expect("occupied");
-                            cu.seq < bu.seq
-                        } else {
-                            *cand < b
-                        }
-                    }
-                };
-                if better {
-                    best = Some(*cand);
-                }
-            }
-            let Some(i) = best else { break };
+            let Some(i) = best_per_port
+                .iter()
+                .flatten()
+                .copied()
+                .min_by_key(|&i| prio(i))
+            else {
+                break;
+            };
             let u = self.slots[i].as_ref().expect("occupied");
             let claimed = ports.try_claim(u.port, u.class);
             debug_assert!(claimed);
@@ -164,10 +218,10 @@ impl OooIq {
 
 impl Scheduler for OooIq {
     fn name(&self) -> &str {
-        if self.cfg.oldest_first {
-            "ooo-oldest"
-        } else {
-            "ooo"
+        match self.cfg.policy {
+            SelectPolicy::LowestSlot => "ooo",
+            SelectPolicy::OldestFirst => "ooo-oldest",
+            SelectPolicy::PredictedReady { .. } => "ldt",
         }
     }
 
@@ -175,7 +229,12 @@ impl Scheduler for OooIq {
         match self.free_slots.pop() {
             Some(Reverse(i)) => {
                 debug_assert!(self.slots[i].is_none(), "free list out of sync");
-                self.fabric.insert(&uop, i as u32, ctx);
+                let delay = match &mut self.ldt {
+                    Some(t) => t.annotate(&uop, ctx.cycle).saturating_sub(ctx.cycle),
+                    None => 0,
+                };
+                let tag = ((delay.min(DELAY_CLAMP) as u32) << SLOT_BITS) | i as u32;
+                self.fabric.insert(&uop, tag, ctx);
                 self.slots[i] = Some(uop);
                 self.occupancy += 1;
                 self.energy.queue_writes += 1;
@@ -193,46 +252,39 @@ impl Scheduler for OooIq {
         // every cycle — a modelled hardware event, charged whether or
         // not the simulator performs the scan.
         self.energy.head_examinations += self.occupancy as u64;
-
-        if self.broadcast_wakeup {
-            // Legacy level-triggered scan path (the test reference). The
-            // fabric stays maintained; only the decision source differs.
-            let mut grants = [0usize; MAX_PORTS];
-            let (any_request, n) = self.select_single_pass(ctx, ports, &mut grants);
-            if any_request {
-                // Every port's prefix-sum circuit spans all IQ entries
-                // (Fig. 2).
-                self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
-            }
-            for &i in &grants[..n] {
-                let u = self.slots[i].take().expect("granted slot");
-                self.free_slots.push(Reverse(i));
-                self.occupancy -= 1;
-                self.energy.queue_reads += 1;
-                self.breakdown.from_ooo += 1;
-                self.fabric.remove(u.seq);
-                out.push(u.seq);
-            }
-            return;
+        if let Some(t) = &mut self.ldt {
+            t.observe(ctx.scb);
         }
 
-        self.fabric.poll(ctx);
-        let any_request = self.fabric.select(ports, self.cfg.oldest_first);
+        let mut grants = [0usize; MAX_PORTS];
+        let (any_request, n) = if self.broadcast_wakeup {
+            // Legacy level-triggered scan path (the test reference). The
+            // fabric stays maintained; only the decision source differs.
+            self.select_single_pass(ctx, ports, &mut grants)
+        } else {
+            self.fabric.poll(ctx);
+            let any_request = self.fabric.select(ports, self.oldest_first());
+            let n = self.fabric.grant_count();
+            for (k, g) in grants[..n].iter_mut().enumerate() {
+                *g = self.slot_of(self.fabric.tag_of(self.fabric.grant(k)));
+            }
+            (any_request, n)
+        };
         if any_request {
             // Every port's prefix-sum circuit spans all IQ entries (Fig. 2).
             self.energy.select_inputs += (self.cfg.entries * MAX_PORTS.min(8)) as u64;
         }
-        for k in 0..self.fabric.grant_count() {
-            let seq = self.fabric.grant(k);
-            let i = self.fabric.tag_of(seq) as usize;
+        for &i in &grants[..n] {
             let u = self.slots[i].take().expect("granted slot");
-            debug_assert_eq!(u.seq, seq);
             self.free_slots.push(Reverse(i));
             self.occupancy -= 1;
             self.energy.queue_reads += 1;
             self.breakdown.from_ooo += 1;
-            out.push(seq);
-            self.fabric.remove(seq);
+            if let Some(t) = &mut self.ldt {
+                t.note_issue(&u, ctx.cycle);
+            }
+            self.fabric.remove(u.seq);
+            out.push(u.seq);
         }
     }
 
@@ -243,10 +295,13 @@ impl Scheduler for OooIq {
         // consumers of `dst`.
         self.energy.cam_broadcasts += 1;
         self.energy.cam_entries_searched += self.cfg.entries as u64;
+        if let Some(t) = &mut self.ldt {
+            t.complete(dst);
+        }
         self.fabric.on_complete(dst);
     }
 
-    fn flush_after(&mut self, seq: u64, _flushed_dests: &[PhysReg]) {
+    fn flush_after(&mut self, seq: u64, flushed_dests: &[PhysReg]) {
         for (i, s) in self.slots.iter_mut().enumerate() {
             if s.as_ref().map(|u| u.seq > seq).unwrap_or(false) {
                 *s = None;
@@ -255,6 +310,9 @@ impl Scheduler for OooIq {
             }
         }
         self.fabric.flush_after(seq);
+        if let Some(t) = &mut self.ldt {
+            t.flush(flushed_dests);
+        }
     }
 
     fn occupancy(&self) -> usize {
@@ -266,7 +324,11 @@ impl Scheduler for OooIq {
     }
 
     fn energy_events(&self) -> SchedEnergyEvents {
-        self.energy
+        let mut e = self.energy;
+        if let Some(t) = &self.ldt {
+            e.add(&t.charges());
+        }
+        e
     }
 
     fn issue_breakdown(&self) -> IssueBreakdown {
@@ -294,10 +356,19 @@ impl Scheduler for OooIq {
         self.fabric.min_wake(ctx)
     }
 
-    fn note_idle_cycles(&mut self, _ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>, k: u64) {
+    fn note_idle_cycles(&mut self, ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>, k: u64) {
         // Idle wakeup still evaluates every occupied entry each cycle; no
         // resident requests, so the select tree never lights up.
         self.energy.head_examinations += k * self.occupancy as u64;
+        // The first idle `issue` call would have drained the load-delay
+        // observations (it only runs with residents present); the queue
+        // cannot refill during an idle window, so one drain replicates
+        // all k.
+        if self.occupancy > 0 {
+            if let Some(t) = &mut self.ldt {
+                t.observe(ctx.scb);
+            }
+        }
     }
 }
 
@@ -372,7 +443,7 @@ mod tests {
     fn slot_priority_without_oldest_first() {
         let mut iq = OooIq::new(OooIqConfig {
             entries: 4,
-            oldest_first: false,
+            policy: SelectPolicy::LowestSlot,
         });
         let scb = Scoreboard::new(8);
         let held = HeldSet::new();
@@ -398,7 +469,7 @@ mod tests {
     fn oldest_first_grants_by_age() {
         let mut iq = OooIq::new(OooIqConfig {
             entries: 4,
-            oldest_first: true,
+            policy: SelectPolicy::OldestFirst,
         });
         let scb = Scoreboard::new(8);
         let held = HeldSet::new();
@@ -421,7 +492,7 @@ mod tests {
     fn full_queue_stalls() {
         let mut iq = OooIq::new(OooIqConfig {
             entries: 1,
-            oldest_first: false,
+            ..OooIqConfig::default()
         });
         let scb = Scoreboard::new(8);
         let held = HeldSet::new();

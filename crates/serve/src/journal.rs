@@ -205,6 +205,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_skipped() {
+        let deep = format!(r#"{{"key":{}"#, "[".repeat(100_000));
+        assert_eq!(CellRecord::parse_line(&deep), None);
+        let text = format!(
+            "{}\n{deep}\n{}",
+            rec("a", 1).to_line(),
+            rec("b", 2).to_line()
+        );
+        assert_eq!(parse_records(&text), vec![rec("a", 1), rec("b", 2)]);
+    }
+
+    #[test]
     fn merge_unions_sorts_and_dedups() {
         let a = vec![rec("b", 2), rec("a", 1)];
         let b = vec![rec("c", 3), rec("a", 1)];

@@ -320,6 +320,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_spec_is_rejected() {
+        let doc = format!(r#"{{"kinds": {}"#, "[".repeat(100_000));
+        assert!(CampaignSpec::from_json(&doc)
+            .unwrap_err()
+            .contains("nesting"));
+    }
+
+    #[test]
     fn smoke_campaign_cell_count() {
         // 3 kinds × 2 widths × 1 IQ × 2 DRAM = 12 points × 3 workloads.
         assert_eq!(CampaignSpec::smoke().cells().len(), 36);

@@ -9,7 +9,7 @@ use ballerino_energy::StructureSizes;
 use ballerino_isa::Trace;
 use ballerino_sched::{
     Casino, CasinoConfig, Ces, CesConfig, Dnb, DnbConfig, Fxa, FxaConfig, InOrderIq,
-    InOrderIqConfig, Ldt, LdtConfig, Lsc, LscConfig, OooIq, OooIqConfig, Scheduler,
+    InOrderIqConfig, Lsc, LscConfig, OooIq, OooIqConfig, Scheduler, SelectPolicy,
 };
 
 /// Which microarchitecture to simulate.
@@ -256,10 +256,17 @@ pub fn build_scheduler_point(
         ),
         MachineKind::OutOfOrder
         | MachineKind::OutOfOrderNoMdp
-        | MachineKind::OutOfOrderOldestFirst => (
+        | MachineKind::OutOfOrderOldestFirst
+        | MachineKind::Ldt => (
             Box::new(OooIq::new(OooIqConfig {
                 entries,
-                oldest_first: kind == MachineKind::OutOfOrderOldestFirst,
+                policy: match kind {
+                    MachineKind::OutOfOrderOldestFirst => SelectPolicy::OldestFirst,
+                    MachineKind::Ldt => SelectPolicy::PredictedReady {
+                        num_phys_regs: phys,
+                    },
+                    _ => SelectPolicy::LowestSlot,
+                },
             })),
             StructureSizes {
                 cam_entries: entries,
@@ -407,20 +414,6 @@ pub fn build_scheduler_point(
                 StructureSizes {
                     cam_entries: cam,
                     fifo_entries: fifo,
-                    ..common_sizes
-                },
-            )
-        }
-        MachineKind::Ldt => {
-            let iq = Ldt::new(LdtConfig {
-                entries,
-                num_phys_regs: phys,
-            });
-            (
-                Box::new(iq),
-                StructureSizes {
-                    cam_entries: entries,
-                    fifo_entries: 0,
                     ..common_sizes
                 },
             )
