@@ -19,6 +19,10 @@
 //!    §IV-D) — plus an *ideal* variant lifting the implementation
 //!    constraints (Fig. 13).
 //!
+//! With no S-IQ the same cluster is the Complexity-Effective
+//! Superscalar baseline (CES, and CES+MDA with MDA steering): every μop
+//! is steered at dispatch ([`BallerinoConfig::ces`]).
+//!
 //! The scheduler implements the [`ballerino_sched::Scheduler`] trait and
 //! plugs into the `ballerino-sim` pipeline exactly like the baselines.
 

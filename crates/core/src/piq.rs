@@ -71,16 +71,15 @@ pub struct Piq {
 }
 
 impl Piq {
-    /// Builds an empty P-IQ with `cap` entries.
+    /// Builds an empty P-IQ with `cap` entries. Sharing splits it into
+    /// two equal halves, so a queue that may share needs an even `cap`;
+    /// `Ballerino::new` checks that where sharing can activate.
     ///
     /// # Panics
     ///
-    /// Panics unless `cap` is even and at least 2.
+    /// Panics if `cap` is 0.
     pub fn new(cap: usize, ideal: bool) -> Self {
-        assert!(
-            cap >= 2 && cap.is_multiple_of(2),
-            "P-IQ capacity must be even and >= 2"
-        );
+        assert!(cap >= 1, "P-IQ capacity must be >= 1");
         Piq {
             cap,
             parts: [VecDeque::new(), VecDeque::new()],
@@ -204,9 +203,10 @@ impl Piq {
     ///
     /// # Panics
     ///
-    /// Panics if [`Piq::shareable`] is false.
+    /// Panics if [`Piq::shareable`] is false or the capacity is odd.
     pub fn activate_sharing(&mut self) -> PartId {
         assert!(self.shareable(), "sharing activation on ineligible queue");
+        assert!(self.cap.is_multiple_of(2), "sharing needs an even capacity");
         let half = self.half();
         let head_half = if self.ideal {
             // Ideal mode ignores pointer locations; pretend content sits

@@ -1,6 +1,10 @@
 //! The Ballerino scheduler (§IV): S-IQ speculative issue + P-SCB-driven
 //! steering + MDA steering + P-IQ sharing, behind the common
 //! [`Scheduler`] trait.
+//!
+//! With no S-IQ (`siq_entries: 0`) the same P-IQ cluster is CES \[3\]:
+//! every μop is steered at dispatch, which is where Fig. 13's chain
+//! CES → CES+MDA → Step 1 starts.
 
 use crate::board::{bits, piq_tag, HeadBoard, HeadCounts, MAX_PIQS};
 use crate::piq::{PartId, Piq};
@@ -16,6 +20,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallerinoConfig {
     /// S-IQ entries (Table II: 8 at 8-wide — 2× the dispatch width).
+    /// 0 builds CES: no S-IQ, every μop is steered at dispatch.
     pub siq_entries: usize,
     /// S-IQ slots examined per cycle (the speculative scheduling window;
     /// equals the rename width: 4r4w). At most [`MAX_SIQ_WINDOW`].
@@ -69,6 +74,20 @@ impl BallerinoConfig {
             num_phys_regs: 348,
             num_ssids: 128,
             spec_horizon: 1,
+        }
+    }
+
+    /// CES at 8-wide (Table II: 8×12-entry P-IQs): the P-IQ cluster
+    /// with no S-IQ, steered at dispatch, without MDA steering or
+    /// sharing. Setting `mda_steering` gives Fig. 13's "CES + MDA".
+    pub fn ces() -> Self {
+        BallerinoConfig {
+            siq_entries: 0,
+            siq_window: 0,
+            num_piqs: 8,
+            mda_steering: false,
+            piq_sharing: false,
+            ..Self::eight_wide()
         }
     }
 
@@ -153,6 +172,15 @@ fn encode_loc(piq: usize, part: PartId) -> u16 {
 
 fn decode_loc(loc: u16) -> (usize, PartId) {
     ((loc / 2) as usize, PartId((loc % 2) as u8))
+}
+
+/// The record of a refused steer, by the μop's readiness.
+fn stall_event(ready: bool) -> SteerEvent {
+    if ready {
+        SteerEvent::StallReady
+    } else {
+        SteerEvent::StallNonReady
+    }
 }
 
 /// Where a new dependence head can go.
@@ -247,7 +275,8 @@ impl Ballerino {
     ///
     /// Panics if `siq_window` exceeds [`MAX_SIQ_WINDOW`] or `num_piqs`
     /// exceeds [`MAX_PIQS`] (the widths of the issue path's fixed
-    /// buffers and masks).
+    /// buffers and masks), or if sharing can activate on P-IQs whose
+    /// capacity does not split into two equal halves.
     pub fn new(cfg: BallerinoConfig) -> Self {
         assert!(
             cfg.siq_window <= MAX_SIQ_WINDOW,
@@ -259,6 +288,12 @@ impl Ballerino {
             "{} P-IQs exceed the {MAX_PIQS}-queue head board",
             cfg.num_piqs
         );
+        assert!(
+            !(cfg.piq_sharing || cfg.ideal_sharing)
+                || (cfg.piq_entries >= 2 && cfg.piq_entries.is_multiple_of(2)),
+            "a shareable P-IQ needs an even capacity >= 2, not {}",
+            cfg.piq_entries
+        );
         let board = HeadBoard::new(cfg.num_piqs, cfg.ideal_sharing);
         let piqs = (0..cfg.num_piqs)
             .map(|_| Piq::new(cfg.piq_entries, cfg.ideal_sharing))
@@ -269,7 +304,12 @@ impl Ballerino {
             .ldt_steering
             .then(|| LoadDelayTracker::new(cfg.num_phys_regs));
         let mut name = format!("ballerino-{}", cfg.num_piqs + 1);
-        if cfg.ldt_steering {
+        if cfg.siq_entries == 0 {
+            name = format!("ces{}", cfg.num_piqs);
+            if cfg.mda_steering {
+                name.push_str("-mda");
+            }
+        } else if cfg.ldt_steering {
             name.push_str("-ldt");
         } else if !cfg.mda_steering {
             name.push_str("-step1");
@@ -309,6 +349,11 @@ impl Ballerino {
     /// Occupancy of P-IQ `i` (tests/diagnostics).
     pub fn piq_len(&self, i: usize) -> usize {
         self.piqs[i].len()
+    }
+
+    /// Whether this is CES: no S-IQ, so every μop is steered at dispatch.
+    fn steers_at_dispatch(&self) -> bool {
+        self.cfg.siq_entries == 0
     }
 
     /// Whether P-IQ `i` is in sharing mode.
@@ -512,9 +557,11 @@ impl Ballerino {
             if !self.piqs[k].can_push(part) {
                 continue;
             }
-            // The producer must still be resident at that tail.
             let tail_seq = match self.piqs[k].back(part) {
                 Some(b) => b.seq,
+                // CES steers behind a producer that issued but has not
+                // completed even when its queue has since drained.
+                None if self.steers_at_dispatch() => 0,
                 None => continue,
             };
             if best.map(|(_, _, _, s)| tail_seq > s).unwrap_or(true) {
@@ -561,10 +608,13 @@ impl Ballerino {
         }
     }
 
-    /// Steers one non-ready μop out of the S-IQ window. Returns whether a
-    /// P-IQ accepted it. Each rule's table reads are charged as it is
-    /// consulted, so a rule that hits spares the later rules' reads.
-    fn steer(&mut self, uop: &SchedUop) -> bool {
+    /// Steers `uop` into the P-IQ cluster: returns the first rule's
+    /// target, where the caller pushes it, or `None`, recorded as a
+    /// steering stall. `ready` only classifies an allocation or a stall;
+    /// the S-IQ steers non-ready μops. Each rule's table reads are
+    /// charged as it is consulted, so a rule that hits spares the later
+    /// rules' reads.
+    fn steer(&mut self, uop: &SchedUop, ready: bool) -> Option<(usize, PartId)> {
         self.energy.steer_ops += 1;
         let n_srcs = uop.srcs.iter().flatten().count() as u64;
         if let Some(t) = self.ldt.as_mut() {
@@ -572,41 +622,58 @@ impl Ballerino {
                 t.charge_reads(n_srcs);
             }
         }
-        if let Some((k, part)) = self.ldt_target(uop) {
+        if let Some(target) = self.ldt_target(uop) {
             self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
+            return Some(target);
         }
         if self.lfst_probe(uop).is_some() {
             self.energy.loc_reads += 1;
         }
-        if let Some((k, part)) = self.mda_target(uop) {
+        if let Some(target) = self.mda_target(uop) {
             let ssid = uop.ssid.expect("an MDA target has a store set");
             let e = self.lfst_steer[ssid.0 as usize].as_mut().expect("probed");
             e.reserved = true;
             self.energy.loc_writes += 1;
             self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
+            return Some(target);
         }
         self.loc.reads += n_srcs;
         if let Some((k, part, src)) = self.rdep_target(uop) {
             self.loc.reserve(src);
             self.steer.record(SteerEvent::SteerDc);
-            self.push_tracked(k, part, *uop);
-            return true;
+            return Some((k, part));
         }
-        if let Some((k, part)) = self.allocate() {
-            let shared = self.piqs[k].is_shared();
-            self.steer.record(if shared {
-                SteerEvent::SteerShared
-            } else {
-                SteerEvent::AllocNonReady
-            });
-            self.push_tracked(k, part, *uop);
-            return true;
+        let Some((k, part)) = self.allocate() else {
+            self.steer.record(stall_event(ready));
+            return None;
+        };
+        self.steer.record(if self.piqs[k].is_shared() {
+            SteerEvent::SteerShared
+        } else if ready {
+            SteerEvent::AllocReady
+        } else {
+            SteerEvent::AllocNonReady
+        });
+        Some((k, part))
+    }
+
+    /// Replays `k` refused [`Ballerino::steer`] calls on `u`: the steer
+    /// ops, the LFST probe, the delay-table and P-SCB reads, and the
+    /// stall record. Steering state is frozen while idle, so each retry
+    /// walks the same rules to the same refusal.
+    fn replay_refused_steers(&mut self, u: &SchedUop, ready: bool, k: u64) {
+        self.energy.steer_ops += k;
+        if self.lfst_probe(u).is_some() {
+            self.energy.loc_reads += k;
         }
-        false
+        let n_srcs = u.srcs.iter().flatten().count() as u64;
+        if let Some(t) = self.ldt.as_mut() {
+            if u.is_load() || u.is_store() {
+                t.charge_reads(k * n_srcs);
+            }
+        }
+        self.loc.reads += k * n_srcs;
+        self.steer.record_n(stall_event(ready), k);
     }
 
     /// Whether `steer` would move `uop` into a P-IQ: any of its rules
@@ -700,6 +767,18 @@ impl Scheduler for Ballerino {
     }
 
     fn try_dispatch(&mut self, uop: SchedUop, ctx: &ReadyCtx<'_>) -> DispatchOutcome {
+        if self.steers_at_dispatch() {
+            // CES: steer at dispatch; a refusal touches no queue.
+            let Some((k, part)) = self.steer(&uop, ctx.is_ready(&uop)) else {
+                return DispatchOutcome::Stall(StallReason::NoFreeQueue);
+            };
+            if let Some(t) = &mut self.ldt {
+                t.annotate(&uop, ctx.cycle);
+            }
+            self.fabric.insert(&uop, piq_tag(k, part), ctx);
+            self.push_tracked(k, part, uop);
+            return DispatchOutcome::Accepted;
+        }
         if self.siq.len() >= self.cfg.siq_entries {
             return DispatchOutcome::Stall(StallReason::Full);
         }
@@ -826,13 +905,12 @@ impl Scheduler for Ballerino {
                     continue;
                 }
             }
-            if self.steer(&u) {
-                remove_mask |= 1 << i;
-            } else {
+            let Some((k, part)) = self.steer(&u, false) else {
                 // Steering stall: the window cannot advance past this μop.
-                self.steer.record(SteerEvent::StallNonReady);
                 break;
-            }
+            };
+            self.push_tracked(k, part, u);
+            remove_mask |= 1 << i;
         }
         for i in (0..window).rev() {
             if remove_mask & (1 << i) != 0 {
@@ -841,9 +919,15 @@ impl Scheduler for Ballerino {
         }
 
         if any_candidate {
-            // Each port's prefix-sum sees P-IQ head requests above S-IQ
-            // slot requests (§IV-E).
-            let inputs = self.cfg.num_piqs + self.cfg.siq_window;
+            let n = self.cfg.num_piqs;
+            let inputs = if self.steers_at_dispatch() {
+                // CES: a per-port prefix-sum over the P-IQ heads.
+                n * n.min(8)
+            } else {
+                // Each port's prefix-sum sees P-IQ head requests above
+                // S-IQ slot requests (§IV-E).
+                n + self.cfg.siq_window
+            };
             self.energy.select_inputs += inputs as u64;
         }
     }
@@ -912,8 +996,15 @@ impl Scheduler for Ballerino {
     }
 
     fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {
-        if pending.is_some() && self.siq.len() < self.cfg.siq_entries {
-            return None; // dispatch would be accepted this cycle
+        if let Some(p) = pending {
+            let accepted = if self.steers_at_dispatch() {
+                self.would_steer(p)
+            } else {
+                self.siq.len() < self.cfg.siq_entries
+            };
+            if accepted {
+                return None; // dispatch would be accepted this cycle
+            }
         }
         // P-IQ heads. The single-active-head toggle visits both partitions
         // of a shared queue across idle cycles, so no head of either may
@@ -928,11 +1019,19 @@ impl Scheduler for Ballerino {
         {
             return None;
         }
-        let shape = self.idle_window_shape(ctx)?;
-        Some(shape.horizon)
+        let mut horizon = self.idle_window_shape(ctx)?.horizon;
+        if let Some(p) = pending.filter(|_| self.steers_at_dispatch()) {
+            // The refusal persists, but its recorded stall flavour flips
+            // when `p` becomes ready.
+            let wake = ctx.wake_cycle(p);
+            if wake > ctx.cycle {
+                horizon = horizon.min(wake);
+            }
+        }
+        Some(horizon)
     }
 
-    fn note_idle_cycles(&mut self, ctx: &ReadyCtx<'_>, _pending: Option<&SchedUop>, k: u64) {
+    fn note_idle_cycles(&mut self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>, k: u64) {
         if k == 0 {
             return;
         }
@@ -959,21 +1058,12 @@ impl Scheduler for Ballerino {
             if shape.blocker {
                 let b = self.siq[shape.lingerers];
                 self.energy.head_examinations += k;
-                self.energy.steer_ops += k;
-                if self.lfst_probe(&b).is_some() {
-                    self.energy.loc_reads += k;
-                }
-                let n_srcs = b.srcs.iter().flatten().count() as u64;
-                if let Some(t) = self.ldt.as_mut() {
-                    if b.is_load() || b.is_store() {
-                        // The failed `ldt_target` probe re-reads the
-                        // delay table for each source every cycle.
-                        t.charge_reads(k * n_srcs);
-                    }
-                }
-                self.loc.reads += k * n_srcs;
-                self.steer.record_n(SteerEvent::StallNonReady, k);
+                self.replay_refused_steers(&b, false, k);
             }
+        }
+        // ---- 3. CES: a refused dispatch re-steers every cycle.
+        if let Some(p) = pending.filter(|_| self.steers_at_dispatch()) {
+            self.replay_refused_steers(p, ctx.is_ready(p), k);
         }
     }
 
@@ -1037,8 +1127,12 @@ mod tests {
         }
 
         fn dispatch(&mut self, u: SchedUop) -> DispatchOutcome {
+            self.dispatch_at(0, u)
+        }
+
+        fn dispatch_at(&mut self, cycle: u64, u: SchedUop) -> DispatchOutcome {
             let ctx = ReadyCtx {
-                cycle: 0,
+                cycle,
                 scb: &self.scb,
                 held: &self.held,
             };
@@ -1544,5 +1638,259 @@ mod tests {
             Ballerino::new(BallerinoConfig::ldt()).name(),
             "ballerino-8-ldt"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "a shareable P-IQ needs an even capacity")]
+    fn sharing_with_an_odd_piq_capacity_is_rejected() {
+        let _ = Ballerino::new(BallerinoConfig {
+            piq_entries: 9,
+            ..BallerinoConfig::eight_wide()
+        });
+    }
+
+    // ---- CES: the P-IQ cluster with no S-IQ, steered at dispatch.
+
+    fn mem_op(seq: u64, dst: Option<u32>, src: Option<u32>, class: OpClass) -> SchedUop {
+        SchedUop {
+            class,
+            ssid: Some(SsId(5)),
+            ..op(seq, dst, [src, None])
+        }
+    }
+
+    #[test]
+    fn ces_names_and_capacity() {
+        let ces = Ballerino::new(BallerinoConfig::ces());
+        assert_eq!(ces.name(), "ces8");
+        assert_eq!(ces.capacity(), 8 * 12);
+        let mda = Ballerino::new(BallerinoConfig {
+            mda_steering: true,
+            ..BallerinoConfig::ces()
+        });
+        assert_eq!(mda.name(), "ces8-mda");
+        // Without sharing, an odd capacity is fine.
+        let odd = Ballerino::new(BallerinoConfig {
+            num_piqs: 10,
+            piq_entries: 9,
+            ..BallerinoConfig::ces()
+        });
+        assert_eq!(odd.capacity(), 90);
+    }
+
+    #[test]
+    fn chain_is_steered_into_one_piq() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        for p in [10, 11, 12] {
+            r.scb.allocate(PhysReg(p));
+        }
+        // Chain 0 -> 1 -> 2 via regs 10, 11: op0 reads nothing (ready),
+        // its consumers wait on registers still allocated.
+        r.dispatch(op(0, Some(10), [None, None]));
+        r.dispatch(op(1, Some(11), [Some(10), None]));
+        r.dispatch(op(2, Some(12), [Some(11), None]));
+        assert_eq!(r.b.piq_len(0), 3);
+        assert_eq!(r.b.steer_stats().steer_dc, 2);
+        assert_eq!(r.b.steer_stats().alloc_ready, 1); // op0 is ready
+    }
+
+    #[test]
+    fn chain_split_allocates_new_piq() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.scb.allocate(PhysReg(10));
+        r.dispatch(op(0, Some(10), [None, None]));
+        r.dispatch(op(1, Some(11), [Some(10), None])); // consumer 1
+        r.dispatch(op(2, Some(12), [Some(10), None])); // split!
+        assert_eq!(r.b.piq_len(0), 2);
+        assert_eq!(r.b.piq_len(1), 1);
+    }
+
+    #[test]
+    fn ready_ops_allocate_their_own_piqs_until_stall() {
+        let mut r = Rig::new(BallerinoConfig {
+            num_piqs: 2,
+            ..BallerinoConfig::ces()
+        });
+        for seq in 0..2 {
+            assert_eq!(
+                r.dispatch(op(seq, None, [None, None])),
+                DispatchOutcome::Accepted
+            );
+        }
+        assert_eq!(
+            r.dispatch(op(2, None, [None, None])),
+            DispatchOutcome::Stall(StallReason::NoFreeQueue)
+        );
+        assert_eq!(r.b.steer_stats().alloc_ready, 2);
+        assert_eq!(r.b.steer_stats().stall_ready, 1);
+    }
+
+    #[test]
+    fn heads_issue_out_of_order_across_piqs() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.scb.allocate(PhysReg(10)); // chain 0 blocked
+        r.dispatch(op(0, Some(11), [Some(10), None])); // blocked chain
+        r.dispatch(op(1, None, [None, None])); // ready chain
+        assert_eq!(r.issue(0), vec![1]);
+        // Unblock chain 0 (writeback edge paired with the scoreboard write).
+        r.scb.set_ready_at(PhysReg(10), 5);
+        r.b.on_complete(PhysReg(10));
+        assert_eq!(r.issue(5), vec![0]);
+    }
+
+    #[test]
+    fn full_piq_redirects_consumer_to_new_queue() {
+        let mut r = Rig::new(BallerinoConfig {
+            piq_entries: 2,
+            ..BallerinoConfig::ces()
+        });
+        for p in 10..16 {
+            r.scb.allocate(PhysReg(p));
+        }
+        r.dispatch(op(0, Some(10), [None, None]));
+        r.dispatch(op(1, Some(11), [Some(10), None]));
+        // P-IQ 0 now full (2 entries); consumer of 11 must go elsewhere.
+        r.dispatch(op(2, Some(12), [Some(11), None]));
+        assert_eq!(r.b.piq_len(0), 2);
+        assert_eq!(r.b.piq_len(1), 1);
+    }
+
+    #[test]
+    fn completion_clears_location_so_consumers_allocate() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.scb.allocate(PhysReg(10));
+        r.dispatch(op(0, Some(10), [None, None]));
+        let _ = r.issue(0);
+        r.scb.set_ready_at(PhysReg(10), 1);
+        r.b.on_complete(PhysReg(10));
+        // Consumer arrives after completion: producer not in any P-IQ.
+        r.dispatch_at(1, op(1, Some(11), [Some(10), None]));
+        assert_eq!(r.b.steer_stats().alloc_ready, 2); // both allocations
+    }
+
+    #[test]
+    fn mda_steers_load_behind_producer_store() {
+        let mut r = Rig::new(BallerinoConfig {
+            mda_steering: true,
+            ..BallerinoConfig::ces()
+        });
+        r.scb.allocate(PhysReg(20));
+        // Store in a chain (non-ready), then an M-dependent load of its
+        // store set that is register-ready.
+        r.dispatch(mem_op(0, None, Some(20), OpClass::Store));
+        let mut ld = mem_op(1, Some(30), None, OpClass::Load);
+        ld.mdp_wait = Some(0);
+        r.dispatch(ld);
+        assert_eq!(r.b.piq_len(0), 2, "load must share the store's P-IQ");
+        // A second load of the set must NOT pile in (reserved).
+        r.dispatch(mem_op(2, Some(31), None, OpClass::Load));
+        assert_eq!(r.b.piq_len(0), 2);
+        assert_eq!(r.b.piq_len(1), 1);
+    }
+
+    #[test]
+    fn without_mda_load_takes_separate_piq() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.scb.allocate(PhysReg(20));
+        r.dispatch(mem_op(0, None, Some(20), OpClass::Store));
+        r.dispatch(mem_op(1, Some(30), None, OpClass::Load));
+        assert_eq!(r.b.piq_len(0), 1);
+        assert_eq!(r.b.piq_len(1), 1);
+    }
+
+    #[test]
+    fn store_issue_releases_lfst_steer() {
+        let mut r = Rig::new(BallerinoConfig {
+            mda_steering: true,
+            ..BallerinoConfig::ces()
+        });
+        let mut st = mem_op(0, None, None, OpClass::Store);
+        st.port = PortId(2);
+        r.dispatch(st);
+        assert_eq!(r.issue(0), vec![0]);
+        // A later load of the set no longer finds steering info: it must
+        // *allocate* (the now-empty P-IQ 0), not steer along a stale entry.
+        r.dispatch(mem_op(1, Some(30), None, OpClass::Load));
+        let s = r.b.steer_stats();
+        assert_eq!(s.steer_dc, 0, "stale LFST info must not steer");
+        assert_eq!(s.alloc_ready + s.alloc_nonready, 2);
+    }
+
+    #[test]
+    fn head_stats_classify_mdp_blocked_loads() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.held.insert(0u64);
+        let mut ld = op(0, Some(30), [None, None]);
+        ld.class = OpClass::Load;
+        ld.port = PortId(2);
+        r.dispatch(ld);
+        assert!(r.issue(0).is_empty());
+        assert_eq!(r.b.head_stats().stall_mdep_load, 1);
+    }
+
+    #[test]
+    fn flush_restores_queues_and_locations() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.scb.allocate(PhysReg(10));
+        r.scb.allocate(PhysReg(11));
+        r.dispatch(op(0, Some(10), [None, None]));
+        r.dispatch(op(1, Some(11), [Some(10), None]));
+        r.b.flush_after(0, &[PhysReg(11)]);
+        assert_eq!(r.b.occupancy(), 1);
+        // Per §IV-F the Reserved flag set by the squashed consumer is NOT
+        // restored: a refetched consumer of 10 allocates a new P-IQ rather
+        // than re-steering. Correctness is unaffected.
+        r.dispatch(op(2, Some(12), [Some(10), None]));
+        assert_eq!(r.b.piq_len(0), 1);
+        assert_eq!(r.b.piq_len(1), 1);
+    }
+
+    #[test]
+    fn issue_breakdown_counts_piq_issues() {
+        let mut r = Rig::new(BallerinoConfig::ces());
+        r.dispatch(op(0, None, [None, None]));
+        let _ = r.issue(0);
+        assert_eq!(r.b.issue_breakdown().from_piq, 1);
+    }
+
+    /// A dispatch refused for want of a free P-IQ keeps the machine
+    /// quiesced until the refused μop's readiness flips its stall
+    /// record, and the idle replay charges what stepping would.
+    #[test]
+    fn refused_dispatch_replays_like_stepped_retries() {
+        let cfg = BallerinoConfig {
+            num_piqs: 1,
+            ..BallerinoConfig::ces()
+        };
+        let (mut stepped, mut replayed) = (Rig::new(cfg.clone()), Rig::new(cfg));
+        let pending = op(1, Some(12), [Some(11), None]);
+        for r in [&mut stepped, &mut replayed] {
+            r.scb.allocate(PhysReg(10));
+            r.scb.allocate(PhysReg(11));
+            r.dispatch(op(0, None, [Some(10), None])); // takes the only P-IQ
+            r.scb.set_ready_at(PhysReg(11), 6); // a producer in flight
+            assert_eq!(
+                r.dispatch(pending),
+                DispatchOutcome::Stall(StallReason::NoFreeQueue)
+            );
+        }
+        let ctx = ReadyCtx {
+            cycle: 1,
+            scb: &replayed.scb,
+            held: &replayed.held,
+        };
+        assert_eq!(replayed.b.next_event_cycle(&ctx, Some(&pending)), Some(6));
+        replayed.b.note_idle_cycles(&ctx, Some(&pending), 5);
+        for t in 1..6 {
+            assert!(stepped.issue(t).is_empty());
+            assert_eq!(
+                stepped.dispatch_at(t, pending),
+                DispatchOutcome::Stall(StallReason::NoFreeQueue)
+            );
+        }
+        assert_eq!(stepped.b.steer_stats(), replayed.b.steer_stats());
+        assert_eq!(stepped.b.steer_stats().stall_nonready, 6);
+        assert_eq!(stepped.b.head_stats(), replayed.b.head_stats());
+        assert_eq!(stepped.b.energy_events(), replayed.b.energy_events());
     }
 }

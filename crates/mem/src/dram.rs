@@ -51,13 +51,11 @@ impl Dram {
     }
 
     fn decode(&self, line: u64) -> (usize, u64) {
-        let addr = line * LINE_BYTES;
         let lines_per_row = self.cfg.row_bytes / LINE_BYTES;
         // Interleave consecutive rows across banks for bank-level parallelism.
         let row_global = line / lines_per_row;
         let bank = (row_global % self.cfg.banks as u64) as usize;
         let row = row_global / self.cfg.banks as u64;
-        let _ = addr;
         (bank, row)
     }
 

@@ -38,7 +38,7 @@
 //! Entries are keyed by the μop sequence number in a dense slab
 //! (`seq - base` indexing, the same discipline as the simulator's
 //! `SeqSlab`): schedulers that shuffle μops between internal queues
-//! (Ballerino, CASINO, CES) need no handle bookkeeping at all.
+//! (Ballerino, CASINO) need no handle bookkeeping at all.
 
 use crate::ports::PortAlloc;
 use crate::traits::ReadyCtx;

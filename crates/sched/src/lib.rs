@@ -9,9 +9,6 @@
 //!   [`SelectPolicy`] grants the lowest slot (the `OoO` baseline), the
 //!   oldest μop (§II-A), or the soonest predicted ready (the `LDT`
 //!   extension kind),
-//! * [`ces`] — Complexity-Effective Superscalar clustered P-IQs with
-//!   dependence-based steering \[3\], plus the MDA-steering extension the
-//!   paper evaluates in Fig. 13,
 //! * [`casino`] — cascaded speculative in-order IQs \[2\],
 //! * [`dnb`] — Delay-and-Bypass \[25\]: a criticality/readiness hybrid
 //!   extension baseline from the paper's related work (§VII),
@@ -26,6 +23,10 @@
 //!
 //! The Ballerino scheduler itself (the paper's contribution) lives in the
 //! `ballerino-core` crate and implements the same [`Scheduler`] trait.
+//! So does the Complexity-Effective Superscalar baseline \[3\] and its
+//! MDA-steering extension (Fig. 13): CES is Ballerino's P-IQ cluster
+//! with no S-IQ, steered at dispatch, so both share one definition of
+//! every steering rule.
 //!
 //! ## Contract
 //!
@@ -37,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod casino;
-pub mod ces;
 pub mod dnb;
 pub mod fabric;
 pub mod fxa;
@@ -54,7 +54,6 @@ pub mod traits;
 pub mod uop;
 
 pub use casino::{Casino, CasinoConfig};
-pub use ces::{Ces, CesConfig};
 pub use dnb::{Dnb, DnbConfig};
 pub use fabric::{WakeFabric, WakeState};
 pub use fxa::{Fxa, FxaConfig};

@@ -1,31 +1,20 @@
-//! Property tests over every scheduler implementation: issue soundness
+//! Property tests over every scheduler in this crate: issue soundness
 //! (never issue a non-ready μop), conservation (dispatched = issued +
 //! resident), and flush correctness — under randomized dependence
-//! graphs generated by the in-repo deterministic [`Rng64`].
+//! graphs generated by the in-repo deterministic [`Rng64`]. The same
+//! properties run on the P-IQ cluster (CES and Ballerino) in
+//! `ballerino-core`'s `cluster_props`.
+
+mod common;
 
 use ballerino_isa::rng::Rng64;
-use ballerino_isa::{OpClass, PhysReg, PortId};
+use ballerino_isa::PhysReg;
 use ballerino_sched::{
-    Casino, CasinoConfig, Ces, CesConfig, DispatchOutcome, FuBusy, HeldSet, InOrderIq,
-    InOrderIqConfig, OooIq, OooIqConfig, PortAlloc, ReadyCtx, SchedUop, Scheduler, Scoreboard,
-    SelectPolicy,
+    Casino, CasinoConfig, DispatchOutcome, FuBusy, HeldSet, InOrderIq, InOrderIqConfig, OooIq,
+    OooIqConfig, PortAlloc, ReadyCtx, Scheduler, Scoreboard, SelectPolicy,
 };
+use common::{arb_stream, chain_uops, check_flush_is_exact, check_issues_soundly_and_drains};
 use std::collections::HashSet;
-
-/// One random μop stream: (source index into earlier ops or None, port).
-fn arb_stream(rng: &mut Rng64) -> Vec<(Option<usize>, u8)> {
-    let n = rng.index(63) + 1;
-    (0..n)
-        .map(|_| {
-            let src = if rng.chance(0.5) {
-                Some(rng.index(64))
-            } else {
-                None
-            };
-            (src, rng.below(8) as u8)
-        })
-        .collect()
-}
 
 /// The predicted-ready (`ldt`) select policy over 512 registers.
 const PREDICTED_READY: SelectPolicy = SelectPolicy::PredictedReady { num_phys_regs: 512 };
@@ -37,13 +26,15 @@ fn window(policy: SelectPolicy) -> OooIq {
     })
 }
 
+/// The schedulers [`mk_sched`] builds.
+const NUM_SCHEDS: usize = 5;
+
 fn mk_sched(which: usize) -> Box<dyn Scheduler> {
     match which {
         0 => Box::new(InOrderIq::new(InOrderIqConfig::default())),
         1 => Box::new(window(SelectPolicy::LowestSlot)),
         2 => Box::new(window(SelectPolicy::OldestFirst)),
-        3 => Box::new(Ces::new(CesConfig::default())),
-        4 => Box::new(Casino::new(CasinoConfig::default())),
+        3 => Box::new(Casino::new(CasinoConfig::default())),
         _ => Box::new(window(PREDICTED_READY)),
     }
 }
@@ -55,101 +46,9 @@ fn mk_sched(which: usize) -> Box<dyn Scheduler> {
 fn schedulers_issue_soundly_and_drain() {
     for case in 0..128u64 {
         let mut rng = Rng64::new(0x5C_0001 + case);
-        let stream = arb_stream(&mut rng);
-        let which = rng.index(6);
-        let mut sched = mk_sched(which);
-        let mut scb = Scoreboard::new(512);
-        let held = HeldSet::new();
-        let busy = FuBusy::new();
-
-        // Build μops: op i writes preg 100+i, reads the dst of an earlier
-        // op (if any).
-        let uops: Vec<SchedUop> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, (src, port))| {
-                let src_preg = src.and_then(|s| {
-                    if s < i {
-                        Some(PhysReg(100 + s as u32))
-                    } else {
-                        None
-                    }
-                });
-                SchedUop {
-                    seq: i as u64 + 1,
-                    pc: i as u64 * 4,
-                    class: OpClass::IntAlu,
-                    port: PortId(*port),
-                    srcs: [src_preg, None],
-                    dst: Some(PhysReg(100 + i as u32)),
-                    ssid: None,
-                    mdp_wait: None,
-                    load_dep: false,
-                }
-            })
-            .collect();
-        for u in &uops {
-            scb.allocate(u.dst.unwrap());
-        }
-
-        let mut issued = HashSet::new();
-        let mut next = 0usize;
-        for cycle in 0..400u64 {
-            // Issue.
-            let mut out = Vec::new();
-            {
-                let ctx = ReadyCtx {
-                    cycle,
-                    scb: &scb,
-                    held: &held,
-                };
-                let mut pa = PortAlloc::new(8, 8, &busy, cycle);
-                sched.issue(&ctx, &mut pa, &mut out);
-            }
-            for seq in out {
-                assert!(issued.insert(seq), "double issue of {seq}");
-                let u = &uops[(seq - 1) as usize];
-                // Soundness: sources were ready.
-                assert!(
-                    scb.srcs_ready(&u.srcs, cycle),
-                    "issued {seq} with unready sources at {cycle}"
-                );
-                scb.set_ready_at(u.dst.unwrap(), cycle + 1);
-            }
-            // Completions (1-cycle ops complete next cycle; notify now so
-            // location tables clear).
-            // Dispatch up to 4.
-            for _ in 0..4 {
-                if next >= uops.len() {
-                    break;
-                }
-                let ctx = ReadyCtx {
-                    cycle,
-                    scb: &scb,
-                    held: &held,
-                };
-                match sched.try_dispatch(uops[next], &ctx) {
-                    DispatchOutcome::Accepted => next += 1,
-                    DispatchOutcome::AcceptedIssued => {
-                        assert!(issued.insert(uops[next].seq));
-                        scb.set_ready_at(uops[next].dst.unwrap(), cycle + 1);
-                        next += 1;
-                    }
-                    DispatchOutcome::Stall(_) => break,
-                }
-            }
-            // Wakeup notifications for anything that became ready.
-            for u in &uops {
-                if issued.contains(&u.seq) && scb.ready_cycle(u.dst.unwrap()) == cycle + 1 {
-                    sched.on_complete(u.dst.unwrap());
-                }
-            }
-            if issued.len() == uops.len() {
-                break;
-            }
-        }
-        assert_eq!(issued.len(), uops.len(), "{} failed to drain", sched.name());
-        assert_eq!(sched.occupancy(), 0);
+        let uops = chain_uops(&arb_stream(&mut rng));
+        let mut sched = mk_sched(rng.index(NUM_SCHEDS));
+        check_issues_soundly_and_drains(sched.as_mut(), &uops);
     }
 }
 
@@ -160,67 +59,9 @@ fn flush_is_exact() {
         let mut rng = Rng64::new(0x5C_0002 + case);
         let n = rng.index(39) + 1;
         let flush_at = rng.below(39) + 1;
-        let which = rng.index(6);
-
-        let mut sched = mk_sched(which);
-        let mut scb = Scoreboard::new(512);
-        let held = HeldSet::new();
-        // All blocked on one never-ready register so nothing issues.
-        scb.allocate(PhysReg(0));
-        let mut accepted = Vec::new();
-        for i in 0..n {
-            let u = SchedUop {
-                seq: i as u64 + 1,
-                srcs: [Some(PhysReg(0)), None],
-                dst: Some(PhysReg(100 + i as u32)),
-                port: PortId((i % 8) as u8),
-                ..SchedUop::test_op(i as u64 + 1)
-            };
-            let ctx = ReadyCtx {
-                cycle: 0,
-                scb: &scb,
-                held: &held,
-            };
-            if sched.try_dispatch(u, &ctx) == DispatchOutcome::Accepted {
-                accepted.push(u.seq);
-            } else {
-                break;
-            }
-        }
-        let dests: Vec<PhysReg> = accepted
-            .iter()
-            .filter(|&&s| s > flush_at)
-            .map(|&s| PhysReg(100 + (s - 1) as u32))
-            .collect();
-        sched.flush_after(flush_at, &dests);
-        let expect = accepted.iter().filter(|&&s| s <= flush_at).count();
-        assert_eq!(sched.occupancy(), expect);
+        let mut sched = mk_sched(rng.index(NUM_SCHEDS));
+        check_flush_is_exact(sched.as_mut(), n, flush_at);
     }
-}
-
-/// Random μops over `stream`: μop `i` (seq `i + 1`) writes `p(100 + i)`
-/// and reads the destination of an earlier μop when the stream says so.
-fn chain_uops(stream: &[(Option<usize>, u8)]) -> Vec<SchedUop> {
-    stream
-        .iter()
-        .enumerate()
-        .map(|(i, (src, port))| {
-            let src_preg = src.and_then(|s| {
-                if s < i {
-                    Some(PhysReg(100 + s as u32))
-                } else {
-                    None
-                }
-            });
-            SchedUop {
-                seq: i as u64 + 1,
-                port: PortId(*port),
-                srcs: [src_preg, None],
-                dst: Some(PhysReg(100 + i as u32)),
-                ..SchedUop::test_op(i as u64 + 1)
-            }
-        })
-        .collect()
 }
 
 /// Drives a fabric-path scheduler and its broadcast-scan twin through

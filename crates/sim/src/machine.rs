@@ -8,8 +8,8 @@ use ballerino_core::{Ballerino, BallerinoConfig};
 use ballerino_energy::StructureSizes;
 use ballerino_isa::Trace;
 use ballerino_sched::{
-    Casino, CasinoConfig, Ces, CesConfig, Dnb, DnbConfig, Fxa, FxaConfig, InOrderIq,
-    InOrderIqConfig, Lsc, LscConfig, OooIq, OooIqConfig, Scheduler, SelectPolicy,
+    Casino, CasinoConfig, Dnb, DnbConfig, Fxa, FxaConfig, InOrderIq, InOrderIqConfig, Lsc,
+    LscConfig, OooIq, OooIqConfig, Scheduler, SelectPolicy,
 };
 
 /// Which microarchitecture to simulate.
@@ -23,7 +23,8 @@ pub enum MachineKind {
     OutOfOrderOldestFirst,
     /// OoO without memory dependence prediction (§III-B's 1.5× claim).
     OutOfOrderNoMdp,
-    /// Complexity-effective superscalar \[3\].
+    /// Complexity-effective superscalar \[3\]: Ballerino's P-IQ cluster
+    /// with no S-IQ, steered at dispatch.
     Ces,
     /// CES + M-dependence-aware steering (Fig. 13).
     CesMda,
@@ -202,12 +203,12 @@ pub fn build_scheduler(
 /// for an arbitrary [`DesignPoint`].
 ///
 /// The `iq_entries` budget maps onto each kind's window structure:
-/// monolithic queues (InO, OoO) take it directly; CES divides it across
-/// its P-IQs; CASINO scales every cascade stage proportionally; FXA
-/// gives half to its OoO backend; LSC and DNB split it across their
-/// queues; Ballerino divides the budget net of the S-IQ across its
-/// P-IQs. All mappings are monotone in the budget and floor-clamped so
-/// any budget ≥ 16 builds a working machine.
+/// monolithic queues (InO, OoO) take it directly; CASINO scales every
+/// cascade stage proportionally; FXA gives half to its OoO backend; LSC
+/// and DNB split it across their queues; Ballerino and CES divide the
+/// budget net of the S-IQ (CES has none) across their P-IQs. All
+/// mappings are monotone in the budget and floor-clamped so any budget
+/// ≥ 16 builds a working machine.
 pub fn build_scheduler_point(
     point: &DesignPoint,
 ) -> (CoreConfig, Box<dyn Scheduler>, StructureSizes) {
@@ -274,25 +275,6 @@ pub fn build_scheduler_point(
                 ..common_sizes
             },
         ),
-        MachineKind::Ces | MachineKind::CesMda => {
-            let (n, e) = ces_piqs(width);
-            let e = point.iq_entries.map(|t| split_budget(t, n, 4)).unwrap_or(e);
-            (
-                Box::new(Ces::new(CesConfig {
-                    num_piqs: n,
-                    piq_entries: e,
-                    num_phys_regs: phys,
-                    mda_steering: kind == MachineKind::CesMda,
-                    num_ssids: 128,
-                })),
-                StructureSizes {
-                    cam_entries: 0,
-                    fifo_entries: n * e,
-                    has_steer: true,
-                    ..common_sizes
-                },
-            )
-        }
         MachineKind::Casino => {
             let mut c = match width {
                 Width::Two => CasinoConfig::two_wide(),
@@ -418,7 +400,9 @@ pub fn build_scheduler_point(
                 },
             )
         }
-        MachineKind::BallerinoStep1
+        MachineKind::Ces
+        | MachineKind::CesMda
+        | MachineKind::BallerinoStep1
         | MachineKind::BallerinoStep2
         | MachineKind::Ballerino
         | MachineKind::BallerinoIdeal
@@ -427,6 +411,16 @@ pub fn build_scheduler_point(
         | MachineKind::BallerinoN(_) => {
             let mut c = ballerino_cfg(width, phys);
             match kind {
+                MachineKind::Ces | MachineKind::CesMda => {
+                    let (n, e) = ces_piqs(width);
+                    c = BallerinoConfig {
+                        num_piqs: n,
+                        piq_entries: e,
+                        mda_steering: kind == MachineKind::CesMda,
+                        num_phys_regs: phys,
+                        ..BallerinoConfig::ces()
+                    };
+                }
                 MachineKind::BallerinoStep1 => {
                     c.mda_steering = false;
                     c.piq_sharing = false;
@@ -443,10 +437,11 @@ pub fn build_scheduler_point(
             }
             if let Some(t) = point.iq_entries {
                 // The S-IQ keeps its preset size; the budget net of it
-                // divides across the P-IQs, rounded down to the even
-                // capacity the two-partition P-IQ requires.
+                // divides across the P-IQs. Ballerino's split rounds down
+                // to the even capacity the two-partition P-IQ requires;
+                // CES keeps it as is.
                 let e = split_budget(t.saturating_sub(c.siq_entries), c.num_piqs, 4);
-                c.piq_entries = e & !1;
+                c.piq_entries = if c.siq_entries == 0 { e } else { e & !1 };
             }
             let fifo = c.siq_entries + c.num_piqs * c.piq_entries;
             (

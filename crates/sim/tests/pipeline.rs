@@ -1,7 +1,9 @@
 //! End-to-end pipeline tests: every machine kind runs every kind of
 //! workload to completion, and first-order performance orderings hold.
 
-use ballerino_sim::{run_machine, MachineKind, Width};
+use ballerino_sim::{
+    build_scheduler_point, run_machine, run_point, DesignPoint, MachineKind, Width,
+};
 use ballerino_workloads::workload;
 
 const N: usize = 6_000;
@@ -55,6 +57,26 @@ fn all_machines_survive_memory_violation_workloads() {
     ] {
         let r = run_machine(kind, Width::Eight, &t);
         assert_eq!(r.committed, t.len() as u64, "{kind:?}");
+    }
+}
+
+/// CES splits its IQ budget across its P-IQs without rounding, so a
+/// P-IQ can hold an odd number of entries: 96 entries at width 10 (a
+/// `SweepSpec::full()` point) give 9 per queue, 60 at width 8 give 7.
+#[test]
+fn ces_runs_at_odd_piq_capacities() {
+    let t = workload("branchy_sort", 2_000, 3);
+    for kind in [MachineKind::Ces, MachineKind::CesMda] {
+        for (width, iq, capacity) in [(Width::Ten, 96, 10 * 9), (Width::Eight, 60, 8 * 7)] {
+            let point = DesignPoint {
+                iq_entries: Some(iq),
+                ..DesignPoint::new(kind, width)
+            };
+            let (_, sched, _) = build_scheduler_point(&point);
+            assert_eq!(sched.capacity(), capacity, "{}", point.label());
+            let r = run_point(&point, &t);
+            assert_eq!(r.committed, t.len() as u64, "{}", point.label());
+        }
     }
 }
 
