@@ -17,7 +17,7 @@ use crate::stats::{IssueBreakdown, SchedEnergyEvents};
 use crate::traits::{DispatchOutcome, ReadyCtx, Scheduler, StallReason};
 use crate::uop::SchedUop;
 use ballerino_isa::PhysReg;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// LSC configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,15 +45,16 @@ impl Default for LscConfig {
 }
 
 /// The Load Slice Core scheduler.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lsc {
     cfg: LscConfig,
     bypass: VecDeque<SchedUop>,
     main: VecDeque<SchedUop>,
     ist: Vec<bool>,
     /// PC of the most recent writer of each physical register (for the
-    /// iterative backward-slice walk).
-    writer_pc: HashMap<u32, u64>,
+    /// iterative backward-slice walk), indexed by register number. Grown
+    /// on demand: the configuration does not know the register count.
+    writer_pc: Vec<Option<u64>>,
     energy: SchedEnergyEvents,
     breakdown: IssueBreakdown,
     /// μops routed through the bypass queue.
@@ -69,7 +70,7 @@ impl Lsc {
             bypass: VecDeque::new(),
             main: VecDeque::new(),
             ist,
-            writer_pc: HashMap::new(),
+            writer_pc: Vec::new(),
             energy: SchedEnergyEvents::default(),
             breakdown: IssueBreakdown::default(),
             bypassed: 0,
@@ -83,6 +84,30 @@ impl Lsc {
     /// Whether the IST marks `pc` as part of a load's address slice.
     pub fn in_slice(&self, pc: u64) -> bool {
         self.ist[self.ist_index(pc)]
+    }
+
+    /// Whether `uop` is routed to the bypass queue (else the main queue).
+    fn routes_to_bypass(&self, uop: &SchedUop) -> bool {
+        uop.is_load() || uop.is_store() || self.in_slice(uop.pc)
+    }
+
+    /// PC of the recorded producer of `r`, if any.
+    fn producer(&self, r: PhysReg) -> Option<u64> {
+        self.writer_pc.get(r.raw() as usize).copied().flatten()
+    }
+
+    /// Marks the recorded producer of each source of `uop` in the IST;
+    /// returns how many sources had one.
+    fn mark_producers(&mut self, uop: &SchedUop) -> u64 {
+        let mut marked = 0;
+        for src in uop.srcs.iter().flatten() {
+            if let Some(pc) = self.producer(*src) {
+                let idx = self.ist_index(pc);
+                self.ist[idx] = true;
+                marked += 1;
+            }
+        }
+        marked
     }
 
     fn issue_from(
@@ -119,30 +144,23 @@ impl Scheduler for Lsc {
         // the slice (it will route to the bypass queue on its next
         // dynamic instance).
         if uop.is_load() {
-            for src in uop.srcs.iter().flatten() {
-                if let Some(&pc) = self.writer_pc.get(&src.raw()) {
-                    let idx = self.ist_index(pc);
-                    self.ist[idx] = true;
-                    self.energy.loc_writes += 1;
-                }
-            }
+            self.energy.loc_writes += self.mark_producers(&uop);
         }
-        let to_bypass = uop.is_load() || uop.is_store() || self.in_slice(uop.pc);
+        let to_bypass = self.routes_to_bypass(&uop);
         self.energy.loc_reads += 1; // IST lookup at dispatch
 
         // A slice instruction's own producers are walked one level per
         // iteration: if this μop is in the slice, mark its producers too
         // (transitive closure over iterations, as in the LSC paper).
         if to_bypass && !uop.is_store() {
-            for src in uop.srcs.iter().flatten() {
-                if let Some(&pc) = self.writer_pc.get(&src.raw()) {
-                    let idx = self.ist_index(pc);
-                    self.ist[idx] = true;
-                }
-            }
+            self.mark_producers(&uop);
         }
         if let Some(d) = uop.dst {
-            self.writer_pc.insert(d.raw(), uop.pc);
+            let i = d.raw() as usize;
+            if i >= self.writer_pc.len() {
+                self.writer_pc.resize(i + 1, None);
+            }
+            self.writer_pc[i] = Some(uop.pc);
         }
 
         let (q, cap) = if to_bypass {
@@ -210,6 +228,52 @@ impl Scheduler for Lsc {
 
     fn issue_breakdown(&self) -> IssueBreakdown {
         self.breakdown
+    }
+
+    fn next_event_cycle(&self, ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>) -> Option<u64> {
+        if let Some(p) = pending {
+            let (len, cap) = if self.routes_to_bypass(p) {
+                (self.bypass.len(), self.cfg.bypass_entries)
+            } else {
+                (self.main.len(), self.cfg.main_entries)
+            };
+            if len < cap {
+                return None; // dispatch would be accepted this cycle
+            }
+        }
+        let mut horizon = u64::MAX;
+        for head in [self.bypass.front(), self.main.front()]
+            .into_iter()
+            .flatten()
+        {
+            let wake = ctx.wake_cycle(head);
+            // A ready head issues (or fights for a port) right now.
+            if wake <= ctx.cycle {
+                return None;
+            }
+            horizon = horizon.min(wake);
+        }
+        Some(horizon)
+    }
+
+    fn note_idle_cycles(&mut self, _ctx: &ReadyCtx<'_>, pending: Option<&SchedUop>, k: u64) {
+        // Each idle `issue` examines every stalled head once. A refused
+        // `pending` repeats its IST lookup and, for a load, its producer
+        // marks; the marks and its own `writer_pc` entry were already set
+        // by the first, stepped refusal, so only the counts move.
+        let heads = !self.bypass.is_empty() as u64 + !self.main.is_empty() as u64;
+        self.energy.head_examinations += k * heads;
+        if let Some(p) = pending {
+            self.energy.loc_reads += k;
+            if p.is_load() {
+                let marks = p
+                    .srcs
+                    .iter()
+                    .flatten()
+                    .filter(|s| self.producer(**s).is_some());
+                self.energy.loc_writes += k * marks.count() as u64;
+            }
+        }
     }
 }
 
@@ -337,6 +401,77 @@ mod tests {
         l.try_dispatch(op(3, 0x508, OpClass::Load, Some(23), Some(20)), &ctx);
         l.flush_after(1, &[]);
         assert_eq!(l.occupancy(), 1);
+    }
+
+    /// `k` stepped idle cycles with a refused pending load, whose base
+    /// register has a recorded producer, leave exactly the state that
+    /// one `note_idle_cycles(k)` leaves on a clone.
+    #[test]
+    fn refused_pending_load_replays_like_stepped_idle_cycles() {
+        let mut l = Lsc::new(LscConfig {
+            bypass_entries: 1,
+            ..LscConfig::default()
+        });
+        let mut scb = Scoreboard::new(64);
+        scb.allocate(PhysReg(10));
+        scb.allocate(PhysReg(20));
+        scb.set_ready_at(PhysReg(20), 9); // both heads wait on p20
+        let held = HeldSet::new();
+        let at = |cycle| ReadyCtx {
+            cycle,
+            scb: &scb,
+            held: &held,
+        };
+        // p10's producer sits at the main-queue head; a load fills the
+        // bypass queue; a second load, based on p10, is refused.
+        l.try_dispatch(op(1, 0x400, OpClass::IntAlu, Some(10), Some(20)), &at(0));
+        l.try_dispatch(op(2, 0x404, OpClass::Load, Some(11), Some(20)), &at(0));
+        let pending = op(3, 0x408, OpClass::Load, Some(12), Some(10));
+        assert_eq!(
+            l.try_dispatch(pending, &at(0)),
+            DispatchOutcome::Stall(StallReason::Full)
+        );
+
+        let mut replayed = l.clone();
+        assert_eq!(replayed.next_event_cycle(&at(1), Some(&pending)), Some(9));
+        replayed.note_idle_cycles(&at(1), Some(&pending), 8);
+        for t in 1..9 {
+            assert!(issue_once(&mut l, &scb, t).is_empty());
+            assert_eq!(
+                l.try_dispatch(pending, &at(t)),
+                DispatchOutcome::Stall(StallReason::Full)
+            );
+        }
+        assert_eq!(l.energy_events().loc_writes, 9);
+        assert_eq!(l.energy_events(), replayed.energy_events());
+        assert_eq!(format!("{l:?}"), format!("{replayed:?}"));
+    }
+
+    #[test]
+    fn quiesce_answers_follow_the_dispatch_queue_and_the_heads() {
+        let mut l = Lsc::new(LscConfig {
+            bypass_entries: 1,
+            ..LscConfig::default()
+        });
+        let mut scb = Scoreboard::new(64);
+        scb.allocate(PhysReg(20));
+        scb.set_ready_at(PhysReg(20), 5);
+        let held = HeldSet::new();
+        let at = |cycle| ReadyCtx {
+            cycle,
+            scb: &scb,
+            held: &held,
+        };
+        assert_eq!(l.next_event_cycle(&at(0), None), Some(u64::MAX));
+        l.try_dispatch(op(1, 0x500, OpClass::Load, Some(21), Some(20)), &at(0));
+        assert_eq!(l.next_event_cycle(&at(0), None), Some(5));
+        // The bypass queue is full, but a main-queue μop would be accepted.
+        let alu = op(2, 0x504, OpClass::IntAlu, Some(22), None);
+        let load = op(3, 0x508, OpClass::Load, Some(23), None);
+        assert_eq!(l.next_event_cycle(&at(0), Some(&alu)), None);
+        assert_eq!(l.next_event_cycle(&at(0), Some(&load)), Some(5));
+        // A ready head issues now.
+        assert_eq!(l.next_event_cycle(&at(5), None), None);
     }
 
     #[test]

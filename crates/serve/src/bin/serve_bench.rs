@@ -20,8 +20,8 @@
 //!   and print the canonical key-sorted union to stdout.
 //!
 //! Environment: `BALLERINO_SHARD=i/n` selects this process's slice;
-//! `BALLERINO_THREADS`, `BALLERINO_SERVE_MAILBOX`,
-//! `BALLERINO_SERVE_RETRIES`, `BALLERINO_SERVE_BACKOFF_MS` tune the
+//! `BALLERINO_THREADS` (workers, this thread included),
+//! `BALLERINO_SERVE_RETRIES` and `BALLERINO_SERVE_BACKOFF_MS` tune the
 //! pool (see the README knob table).
 //!
 //! Exit codes: 0 done, 1 usage/spec error, 2 cells failed permanently,

@@ -1,7 +1,7 @@
 //! The supervised campaign engine.
 //!
 //! [`run_campaign`] turns a list of [`SimCell`]s into a set of
-//! [`CellRecord`]s on a fixed pool of worker threads, with the
+//! [`CellRecord`]s on a fixed pool of workers, with the
 //! service-shaped machinery a long campaign needs:
 //!
 //! * **Sharding** — `BALLERINO_SHARD=i/n` keeps only the cells whose
@@ -14,9 +14,11 @@
 //! * **Checkpoint/replay** — completed cells append to a journal
 //!   (`journal` module); on restart the journal is replayed first and
 //!   only the missing cells run.
-//! * **Backpressure** — the dispatch mailbox is a *bounded*
-//!   `sync_channel`; the feeder blocks when workers fall behind instead
-//!   of buffering an entire campaign's cells.
+//! * **Claiming** — workers take cells in enumeration order from one
+//!   atomic cursor over the pending list, which already holds the whole
+//!   campaign; there is no feeder thread and no work queue. The calling
+//!   thread is worker 0 and the collector, so `workers` = 1 spawns no
+//!   thread and streams and journals records in enumeration order.
 //! * **Supervision** — each cell runs under `catch_unwind`; a panicking
 //!   cell is retried with exponential backoff up to a cap, then
 //!   reported failed. One poisoned cell can't take down the campaign or
@@ -40,8 +42,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel};
-use std::sync::Mutex;
+use std::sync::mpsc::channel;
 
 /// A horizontal slice of a campaign: this process owns the cells whose
 /// stable hash lands on `index` modulo `count`.
@@ -99,9 +100,11 @@ impl Shard {
 /// default; tests construct configs directly.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads.
+    /// Workers, the calling thread included: the engine spawns
+    /// `workers - 1` threads.
     pub workers: usize,
-    /// Dispatch mailbox capacity (bounded — backpressure, not buffering).
+    /// Ignored: the engine has no dispatch mailbox. Kept only so that
+    /// existing struct literals still compile.
     pub mailbox_cap: usize,
     /// Attempts per cell (1 = no retry).
     pub max_attempts: usize,
@@ -115,8 +118,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The service defaults: `BALLERINO_THREADS` workers, a mailbox of
-    /// 2× workers (`BALLERINO_SERVE_MAILBOX`), 2 retries
+    /// The service defaults: `BALLERINO_THREADS` workers, 2 retries
     /// (`BALLERINO_SERVE_RETRIES`), 10 ms base backoff
     /// (`BALLERINO_SERVE_BACKOFF_MS`), shard from `BALLERINO_SHARD`.
     pub fn from_env() -> Result<EngineConfig, String> {
@@ -125,9 +127,7 @@ impl EngineConfig {
             |name: &str| -> Option<u64> { std::env::var(name).ok().and_then(|s| s.parse().ok()) };
         Ok(EngineConfig {
             workers,
-            mailbox_cap: env_num("BALLERINO_SERVE_MAILBOX")
-                .map(|v| v.max(1) as usize)
-                .unwrap_or(2 * workers.max(1)),
+            mailbox_cap: 0,
             max_attempts: 1 + env_num("BALLERINO_SERVE_RETRIES").unwrap_or(2) as usize,
             backoff_ms: env_num("BALLERINO_SERVE_BACKOFF_MS").unwrap_or(10),
             shard: Shard::from_env()?,
@@ -165,9 +165,10 @@ enum Done {
 }
 
 /// Runs a campaign slice: shard-filter and dedup `cells`, replay the
-/// journal, execute what's missing on `cfg.workers` supervised workers,
-/// stream every record (replayed first, then completion order) through
-/// `sink`, and return the key-sorted report.
+/// journal, execute what's missing on `cfg.workers` supervised workers
+/// (this thread plus `cfg.workers - 1` scoped threads), stream every
+/// record (replayed first, then completion order) through `sink`, and
+/// return the key-sorted report.
 ///
 /// `runner` maps a cell to its record; the service passes
 /// [`run_cell`], tests inject panicking or synthetic runners.
@@ -230,67 +231,53 @@ where
         None => None,
     };
 
-    // The engine proper: bounded mailbox, supervised workers, one
-    // collector (this thread).
+    // The engine proper: workers claim cells in enumeration order from
+    // one cursor; the calling thread is worker 0 and the collector.
     let halt = AtomicBool::new(false);
     let retries = AtomicU64::new(0);
     let executed = AtomicUsize::new(0);
-    let (work_tx, work_rx) = sync_channel::<(String, SimCell)>(cfg.mailbox_cap.max(1));
-    let work_rx = Mutex::new(work_rx);
-    let (done_tx, done_rx) = channel::<Done>();
+    let cursor = AtomicUsize::new(0);
     let mut failed: Vec<String> = Vec::new();
     let max_attempts = cfg.max_attempts.max(1);
 
-    std::thread::scope(|scope| {
-        // Feeder: dispatch in deterministic enumeration order; the
-        // bounded send blocks when workers fall behind (backpressure).
-        let feeder_pending = &pending;
-        let feeder_halt = &halt;
-        scope.spawn(move || {
-            for (key, cell) in feeder_pending.iter() {
-                if feeder_halt.load(Ordering::SeqCst) {
-                    break;
+    // The next unclaimed cell, or `None` once the campaign is exhausted
+    // or halted.
+    let claim = || {
+        if halt.load(Ordering::SeqCst) {
+            return None;
+        }
+        pending.get(cursor.fetch_add(1, Ordering::SeqCst))
+    };
+    // One cell under supervision: `catch_unwind` with backed-off retries.
+    let supervise = |(key, cell): &(String, SimCell)| {
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            match catch_unwind(AssertUnwindSafe(|| runner(cell))) {
+                Ok(rec) => {
+                    executed.fetch_add(1, Ordering::SeqCst);
+                    return Done::Ok(rec);
                 }
-                if work_tx.send((key.clone(), *cell)).is_err() {
-                    break; // all workers gone (only happens on teardown)
-                }
-            }
-            // Dropping work_tx disconnects the mailbox: workers drain
-            // the residue and exit.
-        });
-
-        for _ in 0..cfg.workers.max(1) {
-            let done_tx = done_tx.clone();
-            let (work_rx, halt) = (&work_rx, &halt);
-            let (runner, retries, executed) = (&runner, &retries, &executed);
-            scope.spawn(move || loop {
-                // Hold the lock only to receive, never while simulating.
-                let msg = work_rx.lock().expect("mailbox lock").recv();
-                let Ok((key, cell)) = msg else { break };
-                if halt.load(Ordering::SeqCst) {
-                    continue; // halted: drain without running (unblocks the feeder)
-                }
-                let mut attempt = 0;
-                loop {
-                    attempt += 1;
-                    match catch_unwind(AssertUnwindSafe(|| runner(&cell))) {
-                        Ok(rec) => {
-                            executed.fetch_add(1, Ordering::SeqCst);
-                            let _ = done_tx.send(Done::Ok(rec));
-                            break;
-                        }
-                        Err(_) if attempt < max_attempts => {
-                            retries.fetch_add(1, Ordering::SeqCst);
-                            if cfg.backoff_ms > 0 {
-                                let ms = cfg.backoff_ms << (attempt - 1).min(6);
-                                std::thread::sleep(std::time::Duration::from_millis(ms));
-                            }
-                        }
-                        Err(_) => {
-                            let _ = done_tx.send(Done::Failed(key));
-                            break;
-                        }
+                Err(_) if attempt < max_attempts => {
+                    retries.fetch_add(1, Ordering::SeqCst);
+                    if cfg.backoff_ms > 0 {
+                        let ms = cfg.backoff_ms << (attempt - 1).min(6);
+                        std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
+                }
+                Err(_) => return Done::Failed(key.clone()),
+            }
+        }
+    };
+
+    std::thread::scope(|scope| {
+        let (done_tx, done_rx) = channel::<Done>();
+        for _ in 1..cfg.workers {
+            let done_tx = done_tx.clone();
+            let (claim, supervise) = (&claim, &supervise);
+            scope.spawn(move || {
+                while let Some(item) = claim() {
+                    let _ = done_tx.send(supervise(item));
                 }
             });
         }
@@ -300,26 +287,27 @@ where
         // Collector: journal + stream in arrival order, trip the halt
         // fuse when the crash-injection threshold is reached.
         let mut new_done = 0usize;
-        for msg in done_rx.iter() {
-            match msg {
-                Done::Ok(rec) => {
-                    if let Some(j) = journal.as_mut() {
-                        if let Err(e) = j.write(&rec) {
-                            eprintln!("journal write failed: {e}");
-                        }
-                    }
-                    sink(&rec);
-                    records.push(rec);
-                    new_done += 1;
-                    if let Some(limit) = cfg.halt_after {
-                        if new_done >= limit {
-                            halt.store(true, Ordering::SeqCst);
-                        }
+        let mut collect = |msg: Done| match msg {
+            Done::Ok(rec) => {
+                if let Some(j) = journal.as_mut() {
+                    if let Err(e) = j.write(&rec) {
+                        eprintln!("journal write failed: {e}");
                     }
                 }
-                Done::Failed(key) => failed.push(key),
+                sink(&rec);
+                records.push(rec);
+                new_done += 1;
+                if cfg.halt_after.is_some_and(|limit| new_done >= limit) {
+                    halt.store(true, Ordering::SeqCst);
+                }
             }
+            Done::Failed(key) => failed.push(key),
+        };
+        while let Some(item) = claim() {
+            collect(supervise(item));
+            done_rx.try_iter().for_each(&mut collect);
         }
+        done_rx.iter().for_each(collect);
     });
 
     records.sort_by(|a, b| a.key.cmp(&b.key));
@@ -347,6 +335,7 @@ mod tests {
     use super::*;
     use ballerino_bench::{enumerate_cells, grid_points};
     use ballerino_sim::{MachineKind, Width};
+    use std::sync::Mutex;
 
     /// A deterministic synthetic runner: no simulation, instant.
     fn synth(cell: &SimCell) -> CellRecord {

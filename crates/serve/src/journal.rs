@@ -11,7 +11,7 @@
 
 use crate::json::{self, escape};
 use ballerino_sim::SimResult;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The result of one simulation cell, as journaled and streamed.
@@ -98,26 +98,39 @@ pub fn read_journal(path: &Path) -> std::io::Result<Vec<CellRecord>> {
     }
 }
 
-/// An append-only journal writer: one flushed line per record, so every
-/// record written before a crash survives it.
+/// An append-only journal writer: each record is one line handed to the
+/// OS in a single write, so every record written before a crash
+/// survives it.
 pub struct JournalWriter {
     file: std::fs::File,
 }
 
 impl JournalWriter {
-    /// Opens (or creates) the journal for appending.
+    /// Opens (or creates) the journal for appending. A journal whose
+    /// last line was torn by a crash gets its newline first, so the next
+    /// record starts a line of its own instead of joining the garbage.
     pub fn append_to(path: &Path) -> std::io::Result<JournalWriter> {
-        let file = std::fs::OpenOptions::new()
+        let mut file = std::fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n")?;
+            }
+        }
         Ok(JournalWriter { file })
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends one record with its newline in one `write_all`.
     pub fn write(&mut self, rec: &CellRecord) -> std::io::Result<()> {
-        writeln!(self.file, "{}", rec.to_line())?;
-        self.file.flush()
+        let mut line = rec.to_line();
+        line.push('\n');
+        self.file.write_all(line.as_bytes())
     }
 }
 
@@ -259,6 +272,22 @@ mod tests {
         assert_eq!(recs, vec![rec("a", 1), rec("b", 2)]);
         // Missing file = empty journal.
         assert_eq!(read_journal(&dir.join("nope.jsonl")).unwrap(), vec![]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resume_after_a_torn_tail_keeps_its_records() {
+        let dir =
+            std::env::temp_dir().join(format!("ballerino-journal-resume-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let torn = &rec("b", 2).to_line()[..20];
+        std::fs::write(&path, format!("{}\n{torn}", rec("a", 1).to_line())).unwrap();
+
+        let mut w = JournalWriter::append_to(&path).unwrap();
+        w.write(&rec("c", 3)).unwrap();
+        drop(w);
+        assert_eq!(read_journal(&path).unwrap(), vec![rec("a", 1), rec("c", 3)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

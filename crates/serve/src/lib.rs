@@ -9,8 +9,9 @@
 //!
 //! * request **dedup** (identical cells coalesce; traces and DAGs come
 //!   from the process-wide `TraceCache`),
-//! * **bounded mailboxes** (the feeder blocks on a full dispatch queue
-//!   — backpressure instead of unbounded buffering),
+//! * **cursor claiming** (workers take cells in enumeration order from
+//!   one atomic cursor; the calling thread is worker 0 and the
+//!   collector, so one worker spawns no thread),
 //! * per-cell **retry with exponential backoff** under `catch_unwind`
 //!   (a poisoned cell fails alone; it cannot take down the campaign),
 //! * incremental **result streaming** (canonical JSONL records as cells

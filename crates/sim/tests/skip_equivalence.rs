@@ -87,14 +87,22 @@ fn every_machine_is_skip_invariant_on_randomized_workloads() {
 #[test]
 fn skipping_engages_on_memory_bound_workloads() {
     // The engine must actually fire where it matters: long-latency misses
-    // with a quiesced scheduler. A pointer chase at 8-wide OoO spends most
-    // of its cycles waiting on DRAM.
+    // with a quiesced scheduler. A pointer chase spends most of its cycles
+    // waiting on DRAM, so every machine must skip most of them.
     let trace = workload("pointer_chase", 2_000, 7);
-    let (_, skipped, _) = run_normalized(MachineKind::OutOfOrder, Width::Eight, &trace, true);
-    assert!(
-        skipped > 0,
-        "event-horizon engine never fired on pointer_chase"
-    );
+    for kind in ALL_KINDS {
+        for width in [Width::Two, Width::Eight] {
+            let (mut cfg, sched, sizes) = build_scheduler(kind, width);
+            cfg.skip_idle = true;
+            let r = Core::new(cfg, sched, sizes).run(&trace);
+            assert!(
+                2 * r.cycles_skipped > r.cycles,
+                "{kind:?} {width:?} skipped only {} of {} cycles on pointer_chase",
+                r.cycles_skipped,
+                r.cycles
+            );
+        }
+    }
     let (_, skipped_off, _) = run_normalized(MachineKind::OutOfOrder, Width::Eight, &trace, false);
     assert_eq!(
         skipped_off, 0,
