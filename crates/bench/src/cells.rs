@@ -2,18 +2,19 @@
 //! simulation-cell type for every harness that fans a design space out
 //! over workloads.
 //!
-//! Before this module, `SweepSpec::points()`, the fig binaries and the
-//! campaign service each re-derived "kinds × widths × IQ budgets × DRAM
-//! grades, then × workloads" with their own loops — with their own
+//! Before this module, `SweepSpec::points()`, the figure harnesses and
+//! the campaign service each re-derived "kinds × widths × IQ budgets ×
+//! DRAM grades, then × workloads" with their own loops — with their own
 //! ideas about axis order and about degenerate axes (the windowless
 //! `InOrder` kind has no IQ knob, so a naive cross product enumerates
 //! identical silicon several times). Everything now funnels through
 //! [`grid_points`] and [`enumerate_cells`]:
 //!
-//! * `ballerino_bench::run_cells` (the kind × workload matrix behind
-//!   every fig binary),
+//! * `ballerino_bench::run_cells` (the kind × workload matrix of
+//!   `tier0_calibrate` and the determinism tests),
 //! * the tiered sweep engine (`SweepSpec::points`, `simulate_points`),
-//! * `fig17_sensitivity`'s width-scaling grids,
+//! * [`crate::figures`], which fans every figure's design points out
+//!   over the suite and deduplicates the union by [`SimCell::key`],
 //! * the `ballerino-serve` campaign service, which additionally keys
 //!   sharding, dedup and its checkpoint journal off [`SimCell::key`] /
 //!   [`SimCell::stable_hash`].
@@ -32,8 +33,8 @@ use ballerino_workloads::cached_workload;
 /// One row of the machine-kind registry: every per-kind registration
 /// fact the harness tiers need, in one place.
 ///
-/// Before this table, adding a `MachineKind` meant hand-editing the fig
-/// binaries' row lists, `SweepSpec::full()`, `tier0_calibrate`'s base
+/// Before this table, adding a `MachineKind` meant hand-editing the
+/// figures' row lists, `SweepSpec::full()`, `tier0_calibrate`'s base
 /// kinds and the CLI name parser — and a forgotten layer surfaced as a
 /// silently missing table row months later. Now each tier derives its
 /// kind list from the registry ([`fig11_kinds`], [`fig12_kinds`],
@@ -63,7 +64,7 @@ pub struct KindInfo {
 /// The machine-kind registry, in figure display order (the Fig. 11 bar
 /// order first, then the remaining kinds). `BallerinoN` is absent by
 /// design: it is parametric, so it has no single registry row — the CLI
-/// parses it via the `b<N>` fallback and sensitivity figs enumerate it
+/// parses it via the `b<N>` fallback and sensitivity figures enumerate it
 /// explicitly.
 pub const KIND_REGISTRY: &[KindInfo] = &[
     KindInfo {
@@ -336,10 +337,9 @@ pub fn grid_points(
             for &iq in iqs {
                 for &dram in dram_scales {
                     v.push(DesignPoint {
-                        kind,
-                        width,
                         iq_entries: iq,
                         dram_scale_pct: dram,
+                        ..DesignPoint::new(kind, width)
                     });
                 }
             }
@@ -473,6 +473,60 @@ mod tests {
             seed: 42,
         };
         assert_eq!(cell.key(), "OoO/8w/iqdflt/dram100/int_crunch/n12000/s42");
+        // Every Ballerino-family override and the prefetcher switch is in
+        // the key, so deduplicating by key never merges two different
+        // machines.
+        let base = SimCell {
+            point: DesignPoint::new(MachineKind::BallerinoStep2, Width::Eight),
+            ..cell
+        };
+        let overridden = [
+            DesignPoint {
+                piqs: Some(5),
+                ..base.point
+            },
+            DesignPoint {
+                spec_horizon: Some(2),
+                ..base.point
+            },
+            DesignPoint {
+                siq_entries: Some(16),
+                ..base.point
+            },
+            DesignPoint {
+                siq_window: Some(8),
+                ..base.point
+            },
+            DesignPoint {
+                no_prefetch: true,
+                ..base.point
+            },
+        ];
+        let mut keys: Vec<String> = overridden
+            .iter()
+            .map(|&point| SimCell { point, ..base }.key())
+            .collect();
+        keys.push(base.key());
+        keys.sort();
+        keys.dedup();
+        assert_eq!(
+            keys.len(),
+            overridden.len() + 1,
+            "each override needs its own key"
+        );
+        let fig06b = DesignPoint {
+            iq_entries: Some(68),
+            piqs: Some(5),
+            ..base.point
+        };
+        assert_eq!(
+            SimCell {
+                point: fig06b,
+                ..base
+            }
+            .key(),
+            "Step2/8w/iq68/dram100/piq5/int_crunch/n12000/s42"
+        );
     }
 
     #[test]

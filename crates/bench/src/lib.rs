@@ -1,7 +1,8 @@
 //! # ballerino-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see DESIGN.md §3 for the index), plus the simulator
+//! The experiment harness: the [`figures`] module and its one `figures`
+//! binary regenerate every table and figure of the paper's evaluation
+//! (see DESIGN.md §3 for the index) into `results/`, plus the simulator
 //! throughput smoke (`perf_smoke`) and the all-kinds result golden
 //! ([`golden`]).
 //!
@@ -10,13 +11,12 @@
 //! * `BALLERINO_N` — μops per workload (default 20 000; the paper runs
 //!   300M-instruction SimPoints, so crank this up for smoother numbers),
 //! * `BALLERINO_SEED` — workload generator seed (default 42),
-//! * `BALLERINO_THREADS` — worker threads for the matrix runner
+//! * `BALLERINO_THREADS` — worker threads for the pool
 //!   (default: the host's available parallelism).
 //!
 //! ## Threading model
 //!
-//! [`run_matrix`] flattens the `kinds × workloads` matrix into a shared
-//! list of independent cells and runs them on a fixed pool of
+//! [`run_pool`] runs a list of independent cells on a fixed pool of
 //! [`threads`] workers that *steal* work via an atomic cursor: each
 //! worker repeatedly claims the next unclaimed cell index with a
 //! `fetch_add` and simulates it. Traces come from the process-wide
@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod cells;
+pub mod figures;
 pub mod golden;
 pub mod provenance;
 pub mod sweep;
@@ -78,9 +79,9 @@ pub use sweep::{
     tier0_scores, SweepOutcome, SweepSpec,
 };
 
-use ballerino_sim::stats::geomean;
 use ballerino_sim::{MachineKind, SimResult, Width};
 use ballerino_workloads::workload_names;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -114,25 +115,11 @@ pub fn threads() -> usize {
         })
 }
 
-/// Runs several machine kinds over the suite on `threads` work-stealing
-/// workers; returns `[kind][workload]`.
-///
-/// The result is bit-for-bit independent of `threads` — workers only
-/// race for *which* cell to claim next, never over a cell's inputs or
-/// outputs.
-pub fn run_matrix_with_threads(
-    kinds: &[MachineKind],
-    width: Width,
-    threads: usize,
-) -> Vec<Vec<SimResult>> {
-    run_cells(kinds, width, suite_len(), seed(), threads)
-}
-
 /// Runs `f` over `items` on a fixed pool of `threads` work-stealing
 /// workers (the atomic-cursor scheme described in the module docs);
 /// returns results in item order. Every pooled runner in this crate —
-/// the kind×workload matrix, the sweep engine's two tiers, the fig
-/// binaries' custom grids — funnels through here, so they all inherit
+/// the kind×workload matrix, the sweep engine's two tiers, the figures'
+/// deduplicated cell set — funnels through here, so they all inherit
 /// `BALLERINO_THREADS` semantics from one place.
 pub fn run_pool<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
@@ -166,8 +153,13 @@ where
         .collect()
 }
 
-/// [`run_matrix_with_threads`] with explicit workload length and seed
-/// (instead of the `BALLERINO_N` / `BALLERINO_SEED` environment).
+/// Runs several machine kinds over the suite at one width with explicit
+/// workload length and seed on `threads` work-stealing workers; returns
+/// `[kind][workload]`.
+///
+/// The result is bit-for-bit independent of `threads`: workers only
+/// race for *which* cell to claim next, never over a cell's inputs or
+/// outputs.
 pub fn run_cells(
     kinds: &[MachineKind],
     width: Width,
@@ -192,51 +184,34 @@ pub fn run_cells(
     rows
 }
 
-/// Runs several machine kinds over the suite (the [`threads`]-sized
-/// work-stealing pool); returns `[kind][workload]`.
-pub fn run_matrix(kinds: &[MachineKind], width: Width) -> Vec<Vec<SimResult>> {
-    run_matrix_with_threads(kinds, width, threads())
-}
-
-/// Runs one machine kind over the whole suite at a width.
-pub fn run_suite(kind: MachineKind, width: Width) -> Vec<SimResult> {
-    run_matrix(&[kind], width).pop().expect("one row per kind")
-}
-
-/// Per-workload speedups of `results` over `base` (paired by index),
-/// followed by the geometric mean as the final element.
-pub fn speedups_with_geomean(results: &[SimResult], base: &[SimResult]) -> Vec<f64> {
-    assert_eq!(results.len(), base.len());
-    let mut v: Vec<f64> = results
-        .iter()
-        .zip(base)
-        .map(|(r, b)| r.speedup_over(b))
-        .collect();
-    v.push(geomean(&v));
-    v
-}
-
-/// Prints one markdown-style table row.
-pub fn print_row(label: &str, vals: &[f64], width: usize, prec: usize) {
-    print!("{label:<20}");
+/// Appends one table row to `out`: the label, then each value
+/// right-aligned in `width` columns at `prec` decimals.
+pub fn print_row(
+    out: &mut String,
+    label: &str,
+    vals: &[f64],
+    width: usize,
+    prec: usize,
+) -> fmt::Result {
+    write!(out, "{label:<20}")?;
     for v in vals {
-        print!("{v:>width$.prec$}");
+        write!(out, "{v:>width$.prec$}")?;
     }
-    println!();
+    writeln!(out)
 }
 
-/// Prints the table header: workload names plus `GEOMEAN`.
+/// Appends the table header to `out`: a blank label column, then `cols`.
 ///
 /// Labels wider than the column are truncated to `width - 1` *characters*
 /// (not bytes, so multi-byte labels never split a UTF-8 sequence); at
-/// `width <= 1` nothing of the label fits and only spacing is printed.
-pub fn print_header(cols: &[&str], width: usize) {
-    print!("{:<20}", "");
+/// `width <= 1` nothing of the label fits and only spacing is written.
+pub fn print_header(out: &mut String, cols: &[&str], width: usize) -> fmt::Result {
+    write!(out, "{:<20}", "")?;
     for c in cols {
         let truncated = truncate_chars(c, width.saturating_sub(1));
-        print!("{truncated:>width$}");
+        write!(out, "{truncated:>width$}")?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// The first `max_chars` characters of `s` (all of `s` if it is short
@@ -286,8 +261,9 @@ mod tests {
     fn print_header_handles_degenerate_widths() {
         // Must not panic for tiny widths or non-ASCII labels (the seed
         // version byte-sliced at `width - 1`, panicking on both).
-        print_header(&["alpha", "β-workload", "x"], 1);
-        print_header(&["alpha", "β-workload"], 2);
-        print_header(&["日本語ラベル"], 4);
+        let mut out = String::new();
+        print_header(&mut out, &["alpha", "β-workload", "x"], 1).unwrap();
+        print_header(&mut out, &["alpha", "β-workload"], 2).unwrap();
+        print_header(&mut out, &["日本語ラベル"], 4).unwrap();
     }
 }

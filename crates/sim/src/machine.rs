@@ -118,6 +118,22 @@ pub struct DesignPoint {
     /// 50 = twice-as-fast memory, 200 = twice-as-slow). Scales `cas`,
     /// `rcd`, `rp` and `burst` with a floor of one cycle.
     pub dram_scale_pct: u32,
+    /// P-IQ count of the Ballerino/CES cluster (at most
+    /// `ballerino_core::MAX_PIQS`), or `None` for the kind's preset.
+    /// Applied before the `iq_entries` split, so a budget of
+    /// `siq_entries + piqs × e` gives `piqs` P-IQs of `e` entries.
+    pub piqs: Option<u8>,
+    /// Ballerino's S-IQ speculative-issue horizon in cycles
+    /// (`BallerinoConfig::spec_horizon`), or `None` for the preset.
+    pub spec_horizon: Option<u8>,
+    /// Ballerino's S-IQ entries, or `None` for the preset (2× dispatch
+    /// width).
+    pub siq_entries: Option<u8>,
+    /// S-IQ slots Ballerino examines per cycle, or `None` for the preset
+    /// (the rename width).
+    pub siq_window: Option<u8>,
+    /// Turns the L1 stride prefetcher off (Table I has it on).
+    pub no_prefetch: bool,
 }
 
 impl DesignPoint {
@@ -128,28 +144,49 @@ impl DesignPoint {
             width,
             iq_entries: None,
             dram_scale_pct: 100,
+            piqs: None,
+            spec_horizon: None,
+            siq_entries: None,
+            siq_window: None,
+            no_prefetch: false,
         }
     }
 
-    /// Compact display label, e.g. `Ballerino/8w/iq96/dram100`.
+    /// Compact display label, e.g. `Ballerino/8w/iq96/dram100`. Each
+    /// Ballerino-family override or `no_prefetch` appends one field
+    /// (`/piq5`, `/hz2`, `/siq16`, `/win8`, `/nopf`), so a point without
+    /// them keeps the label journals and goldens were keyed by.
     pub fn label(&self) -> String {
+        use std::fmt::Write;
         let w = match self.width {
             Width::Two => 2,
             Width::Four => 4,
             Width::Eight => 8,
             Width::Ten => 10,
         };
-        let iq = self
-            .iq_entries
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "dflt".into());
-        format!(
-            "{}/{}w/iq{}/dram{}",
-            self.kind.label(),
-            w,
-            iq,
-            self.dram_scale_pct
-        )
+        // Writing to a String cannot fail.
+        let mut s = format!("{}/{}w/iq", self.kind.label(), w);
+        match self.iq_entries {
+            Some(e) => {
+                let _ = write!(s, "{e}");
+            }
+            None => s.push_str("dflt"),
+        }
+        let _ = write!(s, "/dram{}", self.dram_scale_pct);
+        for (tag, v) in [
+            ("piq", self.piqs),
+            ("hz", self.spec_horizon),
+            ("siq", self.siq_entries),
+            ("win", self.siq_window),
+        ] {
+            if let Some(v) = v {
+                let _ = write!(s, "/{tag}{v}");
+            }
+        }
+        if self.no_prefetch {
+            s.push_str("/nopf");
+        }
+        s
     }
 }
 
@@ -209,6 +246,12 @@ pub fn build_scheduler(
 /// budget net of the S-IQ (CES has none) across their P-IQs. All
 /// mappings are monotone in the budget and floor-clamped so any budget
 /// ≥ 16 builds a working machine.
+///
+/// `piqs`, `spec_horizon`, `siq_entries` and `siq_window` override the
+/// Ballerino/CES family's `BallerinoConfig` after the kind's own
+/// settings and before the budget split; other kinds have none of these
+/// structures and ignore them. `no_prefetch` applies to every kind.
+/// This is the only place a scheduler is built.
 pub fn build_scheduler_point(
     point: &DesignPoint,
 ) -> (CoreConfig, Box<dyn Scheduler>, StructureSizes) {
@@ -220,10 +263,8 @@ pub fn build_scheduler_point(
     if kind == MachineKind::OutOfOrderNoMdp {
         cfg.use_mdp = false;
     }
-    // Dev knob for throughput A/Bs of the event-horizon engine itself;
-    // results are identical either way (see tests/skip_equivalence.rs).
-    if ballerino_isa::env_flag("BALLERINO_NO_SKIP") {
-        cfg.skip_idle = false;
+    if point.no_prefetch {
+        cfg.mem.prefetch = false;
     }
     if point.dram_scale_pct != 100 {
         let scale = |x: u64| ((x * point.dram_scale_pct as u64) / 100).max(1);
@@ -435,6 +476,18 @@ pub fn build_scheduler_point(
                 MachineKind::BallerinoN(n) => c.num_piqs = n,
                 _ => {}
             }
+            if let Some(n) = point.piqs {
+                c.num_piqs = n.into();
+            }
+            if let Some(h) = point.spec_horizon {
+                c.spec_horizon = h.into();
+            }
+            if let Some(e) = point.siq_entries {
+                c.siq_entries = e.into();
+            }
+            if let Some(w) = point.siq_window {
+                c.siq_window = w.into();
+            }
             if let Some(t) = point.iq_entries {
                 // The S-IQ keeps its preset size; the budget net of it
                 // divides across the P-IQs. Ballerino's split rounds down
@@ -616,5 +669,35 @@ mod tests {
             ..DesignPoint::new(MachineKind::Ballerino, Width::Eight)
         };
         assert_eq!(p.label(), "Ballerino/8w/iq96/dram150");
+    }
+
+    #[test]
+    fn ballerino_overrides_reach_the_built_machine() {
+        let step2 = DesignPoint::new(MachineKind::BallerinoStep2, Width::Eight);
+        // 5 P-IQs of 6 entries: the budget net of the 8-entry S-IQ.
+        let grid = DesignPoint {
+            piqs: Some(5),
+            iq_entries: Some(8 + 5 * 6),
+            ..step2
+        };
+        assert_eq!(build_scheduler_point(&grid).1.capacity(), 8 + 5 * 6);
+        let big_siq = DesignPoint {
+            siq_entries: Some(16),
+            ..step2
+        };
+        assert_eq!(build_scheduler_point(&big_siq).1.capacity(), 16 + 7 * 12);
+        let no_pf = DesignPoint {
+            no_prefetch: true,
+            ..step2
+        };
+        assert!(build_scheduler_point(&step2).0.mem.prefetch);
+        assert!(!build_scheduler_point(&no_pf).0.mem.prefetch);
+        let all = DesignPoint {
+            spec_horizon: Some(2),
+            siq_window: Some(8),
+            no_prefetch: true,
+            ..grid
+        };
+        assert_eq!(all.label(), "Step2/8w/iq38/dram100/piq5/hz2/win8/nopf");
     }
 }

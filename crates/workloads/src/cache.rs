@@ -3,7 +3,7 @@
 //! Workload generation is deterministic in `(name, n, seed)`, yet the
 //! seed harness regenerated the same trace once per machine kind — the
 //! Fig. 11 matrix (7 kinds × 15 workloads) paid for 105 generations of
-//! 15 distinct traces, and `fig11_performance` (which also runs the
+//! 15 distinct traces, and the Fig. 11 harness (which also runs the
 //! `InO` baseline) paid 8× per workload. The cache hands out `Arc<Trace>`
 //! clones so every `(name, n, seed)` is generated exactly once per
 //! process no matter how many runner threads ask for it.
@@ -140,7 +140,7 @@ impl TraceCache {
     }
 }
 
-/// The process-wide cache used by the bench harness and fig binaries.
+/// The process-wide cache used by the bench harness and its binaries.
 pub fn global() -> &'static TraceCache {
     static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
     GLOBAL.get_or_init(TraceCache::new)
