@@ -1,15 +1,19 @@
 //! # ballerino-analytic
 //!
 //! The **tier-0** estimator of the tiered-fidelity design-space engine:
-//! a millisecond-scale queuing/dataflow model that predicts cycles and
-//! IPC for a [`DesignPoint`](ballerino_sim::DesignPoint) without
-//! stepping the cycle-accurate pipeline.
+//! a queuing/dataflow model that predicts cycles and IPC for a
+//! [`DesignPoint`](ballerino_sim::DesignPoint) without stepping the
+//! cycle-accurate pipeline.
 //!
 //! The model consumes per-trace static features
 //! ([`TraceFeatures`](ballerino_isa::TraceFeatures), memoized by
 //! `ballerino_workloads::TraceCache`) and a handful of machine scalars
 //! ([`MachineParams`]) and replays the dependence DAG through an
-//! idealized machine in one `O(n)` integer pass. Predictions are
+//! idealized machine in `O(n)` integer passes: one per trace and
+//! [`ScheduleShape`] — the part of a point the pass reads — with every
+//! point of that shape in a lane of its own ([`predict_shape`]), so a
+//! grid of thousands of points costs a pass per shape, not per point,
+//! and batching never changes an estimate. Predictions are
 //! deterministic and — for a fixed kind and width — monotone in window
 //! size by construction; across widths the committed calibration keeps
 //! predictions monotone on dense workloads to within the simulator's
@@ -48,4 +52,7 @@ pub use calib::{
     promotion_margin_pct, suite_index, width_index, workload_class, KindCalib, WorkloadClass,
     CALIBRATION, SUITE,
 };
-pub use model::{predict_cycles, predict_cycles_with, predict_point, Estimate, MachineParams};
+pub use model::{
+    predict_cycles, predict_cycles_with, predict_point, predict_shape, shape_passes, Estimate,
+    MachineParams, ScheduleShape,
+};

@@ -27,8 +27,8 @@
 //! * `BALLERINO_THREADS` — pool width for every stage.
 
 use ballerino_bench::{
-    point_cost, promote_indices, run_sweep, simulate_points, threads, tier0_scores, Provenance,
-    SweepSpec,
+    point_cost, promote_indices, run_sweep, simulate_points, threads, tier0_passes, tier0_scores,
+    Provenance, SweepSpec,
 };
 use ballerino_sim::DesignPoint;
 use std::fmt::Write as _;
@@ -47,6 +47,7 @@ fn main() {
     }
     let tier0_only = ballerino_isa::env_flag("BALLERINO_TIER0_ONLY");
     let points = spec.points();
+    let passes = tier0_passes(&spec, &points);
     println!(
         "sweep_bench: {} points ({} kinds x {} widths x {} iq x {} dram), \
          {} workloads, N={}, seed={}, threads={}, margin={}%{}",
@@ -71,7 +72,8 @@ fn main() {
         let promoted = promote_indices(&costs, &est, spec.margin_pct());
         let frontier = ballerino_bench::pareto_indices(&costs, &est);
         println!(
-            "tier-0 triage: {:.3}s ({:.1} points/ms), {} promoted, estimated frontier:",
+            "tier-0 triage: {:.3}s ({:.1} points/ms, {passes} passes), {} promoted, \
+             estimated frontier:",
             wall,
             points.len() as f64 / wall / 1e3,
             promoted.len()
@@ -91,7 +93,7 @@ fn main() {
     let outcome = run_sweep(&spec);
     let tiered_wall = outcome.tier0_wall_s + outcome.sim_wall_s;
     println!(
-        "  tier-0 {:.3}s, promoted {}/{} points, simulation {:.3}s",
+        "  tier-0 {:.3}s ({passes} passes), promoted {}/{} points, simulation {:.3}s",
         outcome.tier0_wall_s,
         outcome.promoted.len(),
         points.len(),
@@ -190,6 +192,7 @@ fn main() {
         &exhaustive_frontier,
         outcome.margin_pct,
         outcome.tier0_wall_s,
+        passes,
         outcome.sim_wall_s,
         exhaustive_wall,
         speedup,
@@ -220,6 +223,7 @@ fn render_json(
     exhaustive_frontier: &[usize],
     margin_pct: u32,
     tier0_wall_s: f64,
+    tier0_passes: usize,
     sim_wall_s: f64,
     exhaustive_wall_s: f64,
     speedup: f64,
@@ -239,6 +243,7 @@ fn render_json(
     let _ = writeln!(s, "  \"points_promoted\": {promoted},");
     let _ = writeln!(s, "  \"margin_pct\": {margin_pct},");
     let _ = writeln!(s, "  \"tier0_wall_s\": {tier0_wall_s:.6},");
+    let _ = writeln!(s, "  \"tier0_passes\": {tier0_passes},");
     let _ = writeln!(s, "  \"promoted_sim_wall_s\": {sim_wall_s:.6},");
     let _ = writeln!(s, "  \"tiered_wall_s\": {:.6},", tier0_wall_s + sim_wall_s);
     let _ = writeln!(s, "  \"exhaustive_wall_s\": {exhaustive_wall_s:.6},");

@@ -76,7 +76,7 @@ pub use golden::{golden_text, result_digest};
 pub use provenance::Provenance;
 pub use sweep::{
     anchored_survivors, pareto_indices, point_cost, promote_indices, run_sweep, simulate_points,
-    tier0_scores, SweepOutcome, SweepSpec,
+    tier0_passes, tier0_scores, SweepOutcome, SweepSpec,
 };
 
 use ballerino_sim::{MachineKind, SimResult, Width};

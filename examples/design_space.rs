@@ -1,8 +1,8 @@
 //! Design-space exploration with the tiered-fidelity sweep engine.
 //!
 //! Enumerates a small grid over scheduler kinds, machine widths and
-//! IQ-entry budgets, triages every point with the millisecond-scale
-//! tier-0 analytic model, and promotes only the points that could be on
+//! IQ-entry budgets, triages every point with the tier-0 analytic model
+//! (one lane-batched dataflow pass per schedule shape), and promotes only the points that could be on
 //! the cost/performance Pareto frontier to cycle-accurate simulation —
 //! the workflow an architect would use to cut a thousand-point space
 //! down to the handful worth simulating (scaled down here so the example
